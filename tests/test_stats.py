@@ -422,3 +422,162 @@ class TestRunningPercentile:
         r.update(5.0)
         r.reset()
         assert r.count == 0
+
+
+# ----------------------------------------------------------------------
+# fold_marker_states against a transcribed reference
+#
+# ``_reference_fold_marker_states`` is a verbatim transcription of the
+# unchunked, stream-major fold (one bisection over all streams at once).
+# Any reimplementation of the fold must reproduce it byte for byte: the
+# same float operations on the same values, and the same order of the
+# count-weighted sum over states.  numpy sums a ``(states, streams)``
+# product along axis 0 sequentially when there are two or more streams
+# but pairwise when there is exactly one, so the order differs from 8
+# states up; the corpus below pins both shapes.
+# ----------------------------------------------------------------------
+
+_REFERENCE_BISECTIONS = 12
+
+
+def _reference_fold_marker_states(marker_heights, counts, q, fractions=None):
+    heights = np.asarray(marker_heights)
+    if not np.issubdtype(heights.dtype, np.floating):
+        heights = heights.astype(float)
+    dtype = heights.dtype
+    if heights.ndim != 3:
+        raise ValueError(f"marker_heights must stack to 3-D, got shape {heights.shape}")
+    num_states, _, num_markers = heights.shape
+    fr = p2_marker_fractions(q) if fractions is None else np.asarray(fractions, dtype=float)
+    if fr.ndim != 1 or fr.size != num_markers:
+        raise ValueError(
+            f"{num_markers} markers per state but {fr.size} fractions"
+        )
+    p = q / 100.0
+    target = int(np.argmin(np.abs(fr - p)))
+    if not np.isclose(fr[target], p):
+        raise ValueError(f"fractions must include the target quantile {p}")
+    weights = np.asarray(counts, dtype=float)
+    if weights.shape != (num_states,) or np.any(weights <= 0):
+        raise ValueError("counts must supply one positive sample count per state")
+    if num_states == 1:
+        return heights[0, :, target].astype(float)
+    weights = (weights / weights.sum()).astype(dtype)
+    fr = fr.astype(dtype)
+    p_t = dtype.type(p)
+    half = dtype.type(0.5)
+
+    low = heights[:, :, target].min(axis=0)
+    high = heights[:, :, target].max(axis=0)
+    for _ in range(_REFERENCE_BISECTIONS):
+        mid = half * (low + high)
+        idx = (mid[None, :, None] >= heights).sum(axis=2)
+        cell = np.clip(idx, 1, num_markers - 1)
+        lower = np.take_along_axis(heights, (cell - 1)[:, :, None], axis=2)[..., 0]
+        upper = np.take_along_axis(heights, cell[:, :, None], axis=2)[..., 0]
+        span = upper - lower
+        sloped = span > 0.0
+        t = np.where(sloped, (mid - lower) / np.where(sloped, span, dtype.type(1.0)), mid >= upper)
+        np.clip(t, 0.0, 1.0, out=t)
+        mixture = (weights[:, None] * (fr[cell - 1] + t * (fr[cell] - fr[cell - 1]))).sum(axis=0)
+        above = mixture >= p_t
+        high = np.where(above, mid, high)
+        low = np.where(above, low, mid)
+    return high.astype(float)
+
+
+def _marker_states(rng, num_states, num_streams, num_markers, dtype, kind="lognormal"):
+    """``(states, streams, markers)`` non-decreasing marker heights.
+
+    ``kind="atoms"`` draws from a few levels, so rows repeat heights and
+    whole states sit on one value; ``"zeros"`` is an idle population.
+    """
+    shape = (num_states, num_streams, num_markers)
+    if kind == "zeros":
+        return np.zeros(shape, dtype=dtype)
+    if kind == "atoms":
+        values = rng.choice([0.0, 0.5, 1.0, 2.0], size=shape)
+    else:
+        values = rng.lognormal(0.0, 0.6, size=shape) * rng.uniform(0.2, 3.0, size=(num_states, 1, 1))
+    return np.sort(values, axis=2).astype(dtype)
+
+
+def _assert_fold_bytes_equal(heights, counts, q, fractions):
+    expected = _reference_fold_marker_states(heights, counts, q, fractions)
+    folded = fold_marker_states(heights, counts, q, fractions)
+    assert folded.dtype == expected.dtype
+    assert folded.shape == expected.shape
+    assert folded.tobytes() == expected.tobytes()
+
+
+#: Stream counts straddling the fold's stream-chunk size (8192 streams).
+_CHUNK_EDGES = (8191, 8192, 8193)
+
+
+class TestFoldMatchesReference:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("q", [50.0, 90.0, 99.0])
+    @pytest.mark.parametrize("grid", ["p2", "enriched"])
+    @pytest.mark.parametrize("num_states", [1, 2, 3, 4])
+    def test_seeded_corpus(self, dtype, q, grid, num_states):
+        rng = np.random.default_rng([int(q), num_states, np.dtype(dtype).itemsize])
+        fractions = p2_marker_fractions(q) if grid == "p2" else quantile_fold_fractions(q)
+        counts = rng.integers(1, 400, size=num_states)
+        for kind in ("lognormal", "atoms", "zeros"):
+            for num_streams in (0, 1, 2, 7, 300):
+                heights = _marker_states(rng, num_states, num_streams, fractions.size, dtype, kind)
+                _assert_fold_bytes_equal(heights, counts, q, fractions)
+
+    @pytest.mark.parametrize("num_streams", _CHUNK_EDGES)
+    @pytest.mark.parametrize("num_states", [3, 12])
+    def test_streams_either_side_of_the_chunk(self, num_streams, num_states):
+        rng = np.random.default_rng(num_streams)
+        fractions = quantile_fold_fractions(90.0)
+        heights = _marker_states(rng, num_states, num_streams, fractions.size, np.float32)
+        heights[:, ::5] = _marker_states(
+            rng, num_states, heights[:, ::5].shape[1], fractions.size, np.float32, "atoms"
+        )
+        counts = rng.integers(1, 400, size=num_states)
+        _assert_fold_bytes_equal(heights, counts, 90.0, fractions)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_states", [8, 12, 40])
+    def test_many_states_one_stream(self, dtype, num_states):
+        """The sharded-tier shape: a deep stack of states, one stream."""
+        rng = np.random.default_rng(num_states)
+        fractions = p2_marker_fractions(90.0)
+        for kind in ("lognormal", "atoms"):
+            heights = _marker_states(rng, num_states, 1, fractions.size, dtype, kind)
+            counts = rng.integers(1, 400, size=num_states)
+            _assert_fold_bytes_equal(heights, counts, 90.0, fractions)
+
+    def test_list_of_states_and_integer_heights(self, rng):
+        fractions = p2_marker_fractions(90.0)
+        states = [np.sort(rng.integers(0, 5, size=(6, 5)), axis=1) for _ in range(3)]
+        _assert_fold_bytes_equal(states, [10, 20, 30], 90.0, None)
+        _assert_fold_bytes_equal(np.stack(states), [10, 20, 30], 90.0, fractions)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_states=st.integers(1, 10),
+        num_streams=st.integers(0, 40),
+        q=st.sampled_from([50.0, 90.0, 99.0]),
+        grid=st.sampled_from(["p2", "enriched", "target-only"]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        kind=st.sampled_from(["lognormal", "atoms", "zeros"]),
+        unsorted=st.booleans(),
+    )
+    def test_hypothesis(self, seed, num_states, num_streams, q, grid, dtype, kind, unsorted):
+        rng = np.random.default_rng(seed)
+        if grid == "p2":
+            fractions = p2_marker_fractions(q)
+        elif grid == "enriched":
+            fractions = quantile_fold_fractions(q)
+        else:
+            fractions = np.array([q / 100.0])
+        heights = _marker_states(rng, num_states, num_streams, fractions.size, dtype, kind)
+        if unsorted:
+            heights = rng.permuted(heights, axis=2)
+        counts = rng.uniform(0.5, 500.0, size=num_states)
+        _assert_fold_bytes_equal(heights, counts, q, fractions)
