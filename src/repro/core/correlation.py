@@ -57,9 +57,17 @@ __all__ = [
 #: v/f controller does not scale below their (zero) demand.
 NEUTRAL_COST = 1.0
 
-#: Element budget for one broadcast block of ``CostMatrix.from_traces``
-#: (rows x N x samples floats), sized to keep peak memory around 64 MB.
-_BLOCK_ELEMENTS = 8_000_000
+#: Size of the pair-sum scratch that :func:`_pair_sum_blocks` reuses for
+#: every block (128K float64 or 256K float32 sums).  A block's sums stay
+#: in a 2 MB per-core L2 cache between the add that writes them and the
+#: reduction that reads them; a fresh tens-of-megabytes temporary per
+#: block would stream through memory and page-fault on every allocation.
+_SCRATCH_BYTES = 1024 * 1024
+
+#: Element budget of one sample slice of the percentile
+#: :meth:`StreamingCostMatrix.fold_window` (pairs x samples floats),
+#: sized to keep its peak memory around 64 MB.
+_SAMPLE_SLICE_ELEMENTS = 8_000_000
 
 
 def _pair_cost(ref_i: float, ref_j: float, ref_joint: float) -> float:
@@ -105,6 +113,34 @@ def _sorted_markers(sorted_rows: np.ndarray, fractions: np.ndarray) -> np.ndarra
     return sorted_rows[..., low] * (one - t) + sorted_rows[..., high] * t
 
 
+def _pair_sum_blocks(data: np.ndarray, upper: bool = True):
+    """Yield ``(r0, r1, c0, c1, sums)`` blocks of pairwise sample sums.
+
+    ``sums[a, b]`` is ``data[r0 + a] + data[c0 + b]`` over all samples,
+    shape ``(r1 - r0, c1 - c0, samples)``.  Row ``i`` is paired with
+    columns ``i..n-1`` (``upper``, the diagonal included) or ``0..n-1``.
+    Whole rows are batched while they fit :data:`_SCRATCH_BYTES`; a
+    longer row is split into column blocks.  Every block is written
+    into one scratch buffer, so ``sums`` is only valid until the next
+    block is drawn — reduce it (or sort it in place) before moving on.
+    """
+    n, samples = data.shape
+    budget = max(_SCRATCH_BYTES // data.itemsize, samples)
+    scratch = np.empty(budget, dtype=data.dtype)
+    r0 = 0
+    while r0 < n:
+        first = r0 if upper else 0
+        row = max(1, (n - first) * samples)
+        r1 = min(r0 + max(1, budget // row), n)
+        width = n - first if row <= budget else budget // samples
+        for c0 in range(first, n, width):
+            c1 = min(c0 + width, n)
+            sums = scratch[: (r1 - r0) * (c1 - c0) * samples].reshape(r1 - r0, c1 - c0, samples)
+            np.add(data[r0:r1, None, :], data[None, c0:c1, :], out=sums)
+            yield r0, r1, c0, c1, sums
+        r0 = r1
+
+
 class CostMatrix:
     """Exact pairwise correlation costs over a window of aligned traces.
 
@@ -134,10 +170,10 @@ class CostMatrix:
         """Build the exact cost matrix from a :class:`TraceSet` window.
 
         Joint references are computed with a blocked broadcast over all
-        pairs (no per-pair Python loop): each block materialises a
-        ``(rows, N, samples)`` sum of trace pairs and reduces it with a
-        single ``max`` (peak references) or ``percentile`` (off-peak
-        references) pass.  Block size is chosen to bound peak memory.
+        pairs (no per-pair Python loop): each block of trace-pair sums is
+        written into a cache-sized scratch and reduced with a single
+        ``max`` (peak references) or ``percentile`` (off-peak references)
+        pass (see :func:`_pair_sum_blocks`).
         """
         spec = spec or ReferenceSpec()
         refs, joint = cls.reference_parts(traces, spec)
@@ -160,23 +196,18 @@ class CostMatrix:
         spec = spec or ReferenceSpec()
         data = traces.matrix
         n = traces.num_traces
-        samples = data.shape[1]
         refs = data.max(axis=1) if spec.is_peak else np.percentile(data, spec.percentile, axis=1)
         # Only the upper triangle (plus diagonal) is reduced; the matrix
-        # is symmetric, so the lower triangle is mirrored afterwards.
+        # is symmetric (x_i + x_j is x_j + x_i bit for bit), so each block
+        # is mirrored into the lower triangle as it is reduced.
         joint = np.empty((n, n), dtype=float)
-        start = 0
-        while start < n:
-            rows = max(1, _BLOCK_ELEMENTS // max(1, (n - start) * samples))
-            stop = min(start + rows, n)
-            sums = data[start:stop, None, :] + data[None, start:, :]
+        for r0, r1, c0, c1, sums in _pair_sum_blocks(data):
+            block = joint[r0:r1, c0:c1]
             if spec.is_peak:
-                joint[start:stop, start:] = sums.max(axis=2)
+                sums.max(axis=2, out=block)
             else:
-                joint[start:stop, start:] = np.percentile(sums, spec.percentile, axis=2)
-            start = stop
-        lower = np.tril_indices(n, k=-1)
-        joint[lower] = joint.T[lower]
+                block[...] = np.percentile(sums, spec.percentile, axis=2)
+            joint[c0:c1, r0:r1] = block.T
         return refs.astype(float), joint
 
     @classmethod
@@ -222,25 +253,21 @@ class CostMatrix:
         n = traces.num_traces
         samples = data.shape[1]
         single_markers = _sorted_markers(np.sort(data, axis=1), fractions)
-        tri_rows, tri_cols = np.triu_indices(n, k=1)
-        pair_markers = np.empty((tri_rows.size, fractions.size), dtype=np.float32)
+        pair_markers = np.empty((n * (n - 1) // 2, fractions.size), dtype=np.float32)
         # Pair sums are reduced in float32 scratch: halves the bandwidth
         # of the dominant sort, with rounding far below the gated fold
         # error (see the docstring).
         narrow = data.astype(np.float32)
-        start = 0
-        while start < n:
-            rows = max(1, _BLOCK_ELEMENTS // max(1, (n - start) * samples))
-            stop = min(start + rows, n)
-            sums = narrow[start:stop, None, :] + narrow[None, start:, :]
+        for r0, r1, c0, c1, sums in _pair_sum_blocks(narrow):
             sums.sort(axis=2)
             block = _sorted_markers(sums, fractions)
-            # Every unordered pair whose smaller index falls in this row
-            # block lives at block[i - start, j - start] (columns span
-            # ``start:`` and j > i >= start).
-            sel = (tri_rows >= start) & (tri_rows < stop)
-            pair_markers[sel] = block[tri_rows[sel] - start, tri_cols[sel] - start]
-            start = stop
+            # Row i's pairs (i, j > i) are contiguous in condensed order:
+            # pair (i, j) sits at i*n - i*(i+1)/2 + (j - i - 1).
+            for i in range(r0, r1):
+                lo = max(c0, i + 1)
+                if lo < c1:
+                    offset = i * n - i * (i + 1) // 2 - i - 1
+                    pair_markers[offset + lo : offset + c1] = block[i - r0, lo - c0 :]
         return single_markers, pair_markers, samples
 
     @classmethod
@@ -440,7 +467,7 @@ class StreamingCostMatrix:
 
         Equivalent to calling :meth:`update` once per sample column —
         bit-exactly in peak mode (running maxima are associative; the
-        pair reduction is blocked to bound peak memory) and in lockstep
+        pair reduction runs through a cache-sized scratch) and in lockstep
         in percentile mode (the batch estimators advance through
         :meth:`~repro.analysis.stats.BatchPSquare.fold_window`).  This is
         the period-boundary entry point: replay hands each finished
@@ -457,17 +484,9 @@ class StreamingCostMatrix:
         samples = data.shape[1]
         if self._spec.is_peak:
             np.maximum(self._single_peak, data.max(axis=1), out=self._single_peak)
-            start = 0
-            while start < n:
-                rows = max(1, _BLOCK_ELEMENTS // max(1, n * samples))
-                stop = min(start + rows, n)
-                sums = data[start:stop, None, :] + data[None, :, :]
-                np.maximum(
-                    self._pair_peak[start:stop],
-                    sums.max(axis=2),
-                    out=self._pair_peak[start:stop],
-                )
-                start = stop
+            for r0, r1, c0, c1, sums in _pair_sum_blocks(data, upper=False):
+                peak = self._pair_peak[r0:r1, c0:c1]
+                np.maximum(peak, sums.max(axis=2), out=peak)
         else:
             if self._single_est is not None:
                 self._single_est.fold_window(data.T)
@@ -476,7 +495,7 @@ class StreamingCostMatrix:
                 # window is (N(N-1)/2, W) — ~1 GB at N=1000 / W=240 —
                 # so build and fold it a bounded slice at a time.
                 pairs = self._rows.size
-                step = max(1, _BLOCK_ELEMENTS // max(1, pairs))
+                step = max(1, _SAMPLE_SLICE_ELEMENTS // max(1, pairs))
                 for start in range(0, samples, step):
                     chunk = data[:, start : start + step]
                     self._pair_est.fold_window((chunk[self._rows] + chunk[self._cols]).T)
@@ -866,17 +885,13 @@ class RollingCostHorizon:
             folded_pairs = pairs[:, self._target].copy()
         else:
             counts = np.array([part[2] for part in self._marker_parts], dtype=float)
+            # Lists, not stacks: the fold reads each state a stream chunk
+            # at a time.
             refs = fold_marker_states(
-                np.stack([part[0] for part in self._marker_parts]),
-                counts,
-                q,
-                self._fractions,
+                [part[0] for part in self._marker_parts], counts, q, self._fractions
             )
             folded_pairs = fold_marker_states(
-                np.stack([part[1] for part in self._marker_parts]),
-                counts,
-                q,
-                self._fractions,
+                [part[1] for part in self._marker_parts], counts, q, self._fractions
             )
         n = len(window.names)
         joint = np.empty((n, n), dtype=float)

@@ -29,7 +29,12 @@ from repro.core.placement import Placement
 from repro.core.sharding import ShardedAllocator, ShardedCostView, ShardingConfig
 from repro.core.vf_control import correlation_aware_frequency, estimate_active_servers
 from repro.infrastructure.dvfs import FrequencyLadder, StaticVfSetting
-from repro.prediction.predictors import LastValuePredictor, Predictor
+from repro.prediction.predictors import (
+    LastValuePredictor,
+    Predictor,
+    append_bounded,
+    history_bound,
+)
 from repro.traces.trace import ReferenceSpec, TraceSet
 
 __all__ = ["ManagerConfig", "PeriodDecision", "PowerManager"]
@@ -133,6 +138,9 @@ class PowerManager:
     ) -> None:
         self._config = config
         self._predictor = predictor or LastValuePredictor(default=config.default_reference)
+        # Histories keep only the trailing values the predictor reads, so
+        # a long-running loop (``repro serve``) does not grow them forever.
+        self._history_bound = history_bound(self._predictor)
         if config.allocator == "sharded":
             self._allocator = ShardedAllocator(
                 config.allocation, config.sharding, config.reference
@@ -157,7 +165,8 @@ class PowerManager:
 
     @property
     def history(self) -> Mapping[str, tuple[float, ...]]:
-        """Per-VM observed reference history (oldest first)."""
+        """Per-VM observed reference history (oldest first), trimmed to
+        the predictor's ``history_window``."""
         return {vm: tuple(values) for vm, values in self._history.items()}
 
     @property
@@ -224,18 +233,20 @@ class PowerManager:
         """
         observed = window.references(self._config.reference)
         for vm, value in observed.items():
-            self._history.setdefault(vm, []).append(value)
+            append_bounded(self._history.setdefault(vm, []), value, self._history_bound)
         return observed
 
     def predict(self, vm_ids: tuple[str, ...] | list[str]) -> dict[str, float]:
         """UPDATE, part 2: predicted next-period references per VM."""
         predictions: dict[str, float] = {}
         for vm in vm_ids:
-            history = self._history.get(vm, [])
-            if history:
-                predictions[vm] = self._predictor.predict(history)
-            else:
+            # An observed VM keeps its (possibly empty, for a zero-window
+            # predictor) history; only a never-observed VM gets the default.
+            history = self._history.get(vm)
+            if history is None:
                 predictions[vm] = self._config.default_reference
+            else:
+                predictions[vm] = self._predictor.predict(history)
         return predictions
 
     def decide(self, window: TraceSet) -> PeriodDecision:

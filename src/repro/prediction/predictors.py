@@ -27,6 +27,8 @@ __all__ = [
     "EwmaPredictor",
     "MaxOverHistoryPredictor",
     "OraclePredictor",
+    "history_bound",
+    "append_bounded",
 ]
 
 
@@ -46,6 +48,29 @@ class Predictor(Protocol):
         implementations must return a conservative default for it.
         """
         ...
+
+
+def history_bound(predictor: Predictor) -> int | None:
+    """The predictor's declared ``history_window``, validated.
+
+    ``None`` (also for predictors without the attribute) means the
+    predictor may read the whole history, so none may be dropped.
+    """
+    window = getattr(predictor, "history_window", None)
+    if window is not None and window < 0:
+        raise ValueError(f"history_window must be non-negative, got {window}")
+    return window
+
+
+def append_bounded(history: list[float], value: float, bound: int | None) -> None:
+    """Append ``value``, then drop the values a ``bound``-window predictor never reads.
+
+    Keeps per-VM histories from growing without limit over a long replay
+    or a long-running control loop.
+    """
+    history.append(value)
+    if bound is not None and len(history) > bound:
+        del history[: len(history) - bound]
 
 
 def _validated(history: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -34,7 +34,12 @@ from repro.core.sharding import ShardedAllocator, ShardingConfig
 from repro.core.placement import Placement
 from repro.core.vf_control import correlation_aware_frequency, peak_sum_frequency
 from repro.infrastructure.dvfs import FrequencyLadder, StaticVfSetting
-from repro.prediction.predictors import LastValuePredictor, Predictor
+from repro.prediction.predictors import (
+    LastValuePredictor,
+    Predictor,
+    append_bounded,
+    history_bound,
+)
 from repro.traces.trace import ReferenceSpec, TraceSet
 
 __all__ = [
@@ -90,10 +95,7 @@ class _ReferenceHistory:
         self._spec = spec
         self._predictor = predictor
         self._default = default
-        window = getattr(predictor, "history_window", None)
-        if window is not None and window < 0:
-            raise ValueError(f"history_window must be non-negative, got {window}")
-        self._bound = window
+        self._bound = history_bound(predictor)
         self._history: dict[str, list[float]] = {}
         self._primed: dict[str, float] | None = None
 
@@ -105,13 +107,10 @@ class _ReferenceHistory:
         observed = window.references(self._spec)
         primed = self._primed
         self._primed = None
-        bound = self._bound
         predictions: dict[str, float] = {}
         for vm, value in observed.items():
             history = self._history.setdefault(vm, [])
-            history.append(value)
-            if bound is not None and len(history) > bound:
-                del history[: len(history) - bound]
+            append_bounded(history, value, self._bound)
             if primed is not None and vm in primed:
                 predictions[vm] = primed[vm]
             else:

@@ -178,19 +178,54 @@ class TestMarkerParts:
         expected = np.percentile(data[rows] + data[cols], fractions * 100.0, axis=1).T
         np.testing.assert_allclose(pairs, expected, rtol=1e-5)
 
-    def test_block_size_invariant(self, rng, monkeypatch):
-        from repro.core import correlation
-
-        spec = ReferenceSpec(90.0)
-        window = _window(rng, NAMES)
-        full = CostMatrix.marker_parts(window, spec)
-        monkeypatch.setattr(correlation, "_BLOCK_ELEMENTS", 1)
-        blocked = CostMatrix.marker_parts(window, spec)
-        np.testing.assert_array_equal(full[1], blocked[1])
-
     def test_rejects_peak_spec(self, rng):
         with pytest.raises(ValueError, match="peak"):
             CostMatrix.marker_parts(_window(rng, NAMES), ReferenceSpec())
+
+
+def _reduce_pairs(kind, window):
+    """The pairwise reduction ``kind`` of one window, as a tuple of arrays."""
+    if kind == "reference_parts":
+        return CostMatrix.reference_parts(window, ReferenceSpec())
+    if kind == "marker_parts":
+        return CostMatrix.marker_parts(window, ReferenceSpec(90.0))[:2]
+    streaming = StreamingCostMatrix(window.names)
+    streaming.fold_window(window.matrix)
+    state = streaming.snapshot()
+    return state["single_peak"], state["pair_peak"]
+
+
+class TestPairSumBlocks:
+    """Every pairwise row-block reduction is blocking-invariant, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["reference_parts", "marker_parts", "fold_window"])
+    def test_block_size_invariant(self, kind, rng, monkeypatch):
+        from repro.core import correlation
+
+        window = _window(rng, NAMES)
+        default = _reduce_pairs(kind, window)
+        # One float32 row (half a float64 row) per block, then a single
+        # pair per block: every row split into one-column blocks.
+        for budget in (4 * len(NAMES) * window.num_samples, 1):
+            monkeypatch.setattr(correlation, "_SCRATCH_BYTES", budget)
+            blocked = _reduce_pairs(kind, window)
+            for left, right in zip(default, blocked, strict=True):
+                assert left.dtype == right.dtype
+                assert np.array_equal(left, right)
+
+    def test_peak_joint_is_the_naive_pair_max(self, rng):
+        from repro.core import correlation
+
+        # 32 VMs x 5000 samples: the first rows are split into column
+        # blocks and later blocks batch several rows.
+        names = tuple(f"vm{i:02d}" for i in range(32))
+        window = _window(rng, names, samples=5000)
+        assert 8 * len(names) * window.num_samples > correlation._SCRATCH_BYTES
+        refs, joint = CostMatrix.reference_parts(window, ReferenceSpec())
+        data = window.matrix
+        naive = np.array([[np.max(a + b) for b in data] for a in data])
+        assert joint.tobytes() == naive.tobytes()
+        assert refs.tobytes() == data.max(axis=1).tobytes()
 
 
 class TestStreamingFoldWindow:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.manager import ManagerConfig, PowerManager
-from repro.prediction.predictors import LastValuePredictor
+from repro.prediction.predictors import EwmaPredictor, LastValuePredictor
 
 
 @pytest.fixture
@@ -23,12 +23,25 @@ class TestManagerConfig:
 
 class TestObservePredict:
     def test_history_accumulates(self, config, four_vm_traces):
-        manager = PowerManager(config)
+        # The EWMA reads its whole history (history_window None), so
+        # nothing is trimmed.
+        manager = PowerManager(config, EwmaPredictor(default=4.0))
         observed = manager.observe(four_vm_traces)
         assert observed["a1"] == 3.0
         assert manager.history["a1"] == (3.0,)
         manager.observe(four_vm_traces)
         assert manager.history["a1"] == (3.0, 3.0)
+
+    def test_last_value_history_stays_bounded(self, config, four_vm_traces):
+        manager = PowerManager(config)
+        first = manager.decide(four_vm_traces)
+        for _ in range(19):
+            decision = manager.decide(four_vm_traces)
+            assert dict(decision.placement.assignment) == dict(first.placement.assignment)
+        assert {vm: len(values) for vm, values in manager.history.items()} == {
+            vm: 1 for vm in four_vm_traces.names
+        }
+        assert len(manager.snapshot()["history"]["a1"]) == 1
 
     def test_predict_uses_default_without_history(self, config):
         manager = PowerManager(config)

@@ -504,10 +504,13 @@ def _marker_states(rng, num_states, num_streams, num_markers, dtype, kind="logno
 
 def _assert_fold_bytes_equal(heights, counts, q, fractions):
     expected = _reference_fold_marker_states(heights, counts, q, fractions)
-    folded = fold_marker_states(heights, counts, q, fractions)
-    assert folded.dtype == expected.dtype
-    assert folded.shape == expected.shape
-    assert folded.tobytes() == expected.tobytes()
+    # A stacked array and a list of per-state arrays (which the fold reads
+    # without stacking) must fold alike.
+    for given in (heights, list(heights)):
+        folded = fold_marker_states(given, counts, q, fractions)
+        assert folded.dtype == expected.dtype
+        assert folded.shape == expected.shape
+        assert folded.tobytes() == expected.tobytes()
 
 
 #: Stream counts straddling the fold's stream-chunk size (8192 streams).
@@ -551,11 +554,26 @@ class TestFoldMatchesReference:
             counts = rng.integers(1, 400, size=num_states)
             _assert_fold_bytes_equal(heights, counts, 90.0, fractions)
 
+    @pytest.mark.parametrize("num_streams", [1, 2, 3])
+    def test_sum_order_over_many_states(self, num_streams):
+        """Equal counts over constant streams at distinct levels put the
+        mixture exactly on p at some probes, where only the order of the
+        sum over states decides the comparison."""
+        fractions = p2_marker_fractions(50.0)
+        for num_states, dtype in ((20, np.float64), (24, np.float32)):
+            levels = np.arange(num_states, dtype=float)[:, None, None]
+            heights = np.broadcast_to(levels, (num_states, num_streams, fractions.size))
+            _assert_fold_bytes_equal(heights.astype(dtype), [7] * num_states, 50.0, fractions)
+
     def test_list_of_states_and_integer_heights(self, rng):
         fractions = p2_marker_fractions(90.0)
         states = [np.sort(rng.integers(0, 5, size=(6, 5)), axis=1) for _ in range(3)]
         _assert_fold_bytes_equal(states, [10, 20, 30], 90.0, None)
         _assert_fold_bytes_equal(np.stack(states), [10, 20, 30], 90.0, fractions)
+        # Mixed float widths fold in the dtype they would stack to.
+        widths = (np.float32, np.float64, np.float32)
+        mixed = [np.sort(rng.lognormal(size=(300, 5)), axis=1).astype(w) for w in widths]
+        _assert_fold_bytes_equal(mixed, [10, 20, 30], 90.0, fractions)
 
     @settings(max_examples=60, deadline=None)
     @given(

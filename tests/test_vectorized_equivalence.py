@@ -158,7 +158,7 @@ class TestBatchCostMatrixAgainstNaive:
 
         traces = _random_traces(rng, 17, 60)
         full = CostMatrix.from_traces(traces).as_array()
-        monkeypatch.setattr(correlation, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(correlation, "_SCRATCH_BYTES", 1)
         blocked = CostMatrix.from_traces(traces).as_array()
         assert np.array_equal(full, blocked)
 
