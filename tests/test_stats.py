@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -599,3 +601,256 @@ class TestFoldMatchesReference:
             heights = rng.permuted(heights, axis=2)
         counts = rng.uniform(0.5, 500.0, size=num_states)
         _assert_fold_bytes_equal(heights, counts, q, fractions)
+
+
+# ----------------------------------------------------------------------
+# BatchPSquare's P² step against a transcribed reference
+#
+# ``_reference_absorb_markers`` and ``_ReferenceBatchPSquare`` transcribe
+# the stream-major P² kernel and the ``update``/``fold_window`` drivers
+# as they stood when every sample read strided ``(n_streams, 5)``
+# columns and every stream ran the parabolic/linear step.  The lockstep
+# test above compares two callers of one kernel, so a rewrite of the
+# kernel itself would pass it; these tests require the stored state and
+# its snapshot to stay byte-identical to the transcription.
+# ----------------------------------------------------------------------
+
+
+def _reference_absorb_markers(values, heights, positions, desired, increments):
+    low = values < heights[:, 0]
+    high = values >= heights[:, 4]
+    heights[low, 0] = values[low]
+    heights[high, 4] = values[high]
+    cell = (values[:, None] >= heights[:, 1:4]).sum(axis=1)
+    cell[low] = 0
+    cell[high] = 3
+    positions += np.arange(5) > cell[:, None]
+    desired += increments
+    for i in (1, 2, 3):
+        delta = desired[:, i] - positions[:, i]
+        step_up = positions[:, i + 1] - positions[:, i]
+        step_down = positions[:, i - 1] - positions[:, i]
+        move = ((delta >= 1.0) & (step_up > 1.0)) | ((delta <= -1.0) & (step_down < -1.0))
+        if not move.any():
+            continue
+        direction = np.where(delta >= 1.0, 1.0, -1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            span = positions[:, i + 1] - positions[:, i - 1]
+            upper = (positions[:, i] - positions[:, i - 1] + direction) * (
+                (heights[:, i + 1] - heights[:, i]) / (positions[:, i + 1] - positions[:, i])
+            )
+            lower = (positions[:, i + 1] - positions[:, i] - direction) * (
+                (heights[:, i] - heights[:, i - 1]) / (positions[:, i] - positions[:, i - 1])
+            )
+            candidate = heights[:, i] + direction / span * (upper + lower)
+            parabolic_ok = (heights[:, i - 1] < candidate) & (candidate < heights[:, i + 1])
+            neighbour_h = np.where(direction > 0, heights[:, i + 1], heights[:, i - 1])
+            neighbour_p = np.where(direction > 0, positions[:, i + 1], positions[:, i - 1])
+            linear = heights[:, i] + direction * (neighbour_h - heights[:, i]) / (
+                neighbour_p - positions[:, i]
+            )
+        adjusted = np.where(parabolic_ok, candidate, linear)
+        heights[move, i] = adjusted[move]
+        positions[move, i] += direction[move]
+
+
+class _ReferenceBatchPSquare(BatchPSquare):
+    """The estimator with the transcribed ``update``/``fold_window``."""
+
+    __slots__ = ()
+
+    def update(self, values):
+        data = np.asarray(values, dtype=float)
+        if data.shape != (self._n,):
+            raise ValueError(f"expected {self._n} values, got shape {data.shape}")
+        if self._counts is None:
+            if self._count < 5:
+                self._initial[:, self._count] = data
+                self._count += 1
+                if self._count == 5:
+                    self._heights = np.sort(self._initial, axis=1)
+                    self._positions = np.tile(np.arange(1.0, 6.0), (self._n, 1))
+                return
+            self._reference_absorb(data)
+            self._count += 1
+            return
+        counts = self._counts
+        warm = counts < 5
+        if warm.any():
+            rows = np.flatnonzero(warm)
+            self._initial[rows, counts[rows]] = data[rows]
+            mature = np.flatnonzero(~warm)
+            if mature.size:
+                self._reference_absorb_rows(data, mature)
+            counts += 1
+            seeded = rows[counts[rows] == 5]
+            if seeded.size:
+                self._heights[seeded] = np.sort(self._initial[seeded], axis=1)
+                self._positions[seeded] = np.arange(1.0, 6.0)
+        else:
+            self._reference_absorb(data)
+            counts += 1
+        self._count = int(counts.min())
+        if self._count == int(counts.max()):
+            self._counts = None
+
+    def _reference_absorb(self, values):
+        _reference_absorb_markers(
+            values, self._heights, self._positions, self._desired, self._increments
+        )
+
+    def _reference_absorb_rows(self, values, rows):
+        heights = self._heights[rows]
+        positions = self._positions[rows]
+        desired = self._desired[rows]
+        _reference_absorb_markers(values[rows], heights, positions, desired, self._increments)
+        self._heights[rows] = heights
+        self._positions[rows] = positions
+        self._desired[rows] = desired
+
+    def fold_window(self, block):
+        data = np.asarray(block, dtype=float)
+        if data.ndim != 2 or data.shape[1] != self._n:
+            raise ValueError(
+                f"expected a (num_samples, {self._n}) block, got shape {data.shape}"
+            )
+        start = 0
+        while self._count < 5 and start < data.shape[0]:
+            self.update(data[start])
+            start += 1
+        if self._counts is None:
+            for row in data[start:]:
+                self._reference_absorb(row)
+                self._count += 1
+        else:
+            for row in data[start:]:
+                self._reference_absorb(row)
+                self._counts += 1
+                self._count += 1
+
+
+def _p2_samples(rng, num_samples, num_streams, kind):
+    """A ``(samples, streams)`` block of non-negative utilizations."""
+    shape = (num_samples, num_streams)
+    if kind == "zeros":
+        return np.zeros(shape)
+    if kind == "ties":
+        return rng.choice([0.0, 0.25, 0.5, 1.0], size=shape)
+    if kind == "identical":
+        return np.repeat(rng.lognormal(0.0, 0.5, size=(num_samples, 1)), num_streams, axis=1)
+    return rng.lognormal(0.0, 0.6, size=shape) * rng.uniform(0.2, 3.0, size=num_streams)
+
+
+def _assert_p2_states_equal(estimator, reference):
+    assert pickle.dumps(estimator.snapshot()) == pickle.dumps(reference.snapshot())
+    for name in ("_initial", "_heights", "_positions", "_desired"):
+        array = getattr(estimator, name)
+        assert array.dtype == np.float64 and array.flags.c_contiguous, name
+    counts = reference.stream_counts()
+    if counts.size and counts.min() == counts.max() > 0:
+        heights, count = estimator.marker_state()
+        expected, expected_count = reference.marker_state()
+        assert count == expected_count
+        assert heights.tobytes() == expected.tobytes()
+
+
+def _run_p2_pair(q, num_streams, steps):
+    """Drive a live and a reference estimator through the same steps.
+
+    ``steps`` holds ``("fold", block)``, ``("update", row)`` and
+    ``("remap", mapping)`` entries; states are compared after each one.
+    """
+    estimator = BatchPSquare(q, num_streams)
+    reference = _ReferenceBatchPSquare(q, num_streams)
+    for op, arg in steps:
+        for target in (estimator, reference):
+            if op == "fold":
+                target.fold_window(arg)
+            elif op == "update":
+                target.update(arg)
+            else:
+                target.remap_streams(arg)
+        _assert_p2_states_equal(estimator, reference)
+
+
+_P2_QS = (10.0, 50.0, 90.0, 99.0)
+_P2_KINDS = ("lognormal", "ties", "zeros", "identical")
+
+
+class TestPSquareStepMatchesReference:
+    @pytest.mark.parametrize("q", _P2_QS)
+    @pytest.mark.parametrize("kind", _P2_KINDS)
+    def test_seeded_corpus(self, q, kind):
+        rng = np.random.default_rng([int(q), _P2_KINDS.index(kind)])
+        for num_streams, num_samples in (
+            (1, 1), (1, 200), (2, 6), (3, 5), (7, 37), (64, 120), (300, 200), (1500, 60),
+        ):
+            block = _p2_samples(rng, num_samples, num_streams, kind)
+            _run_p2_pair(q, num_streams, [("fold", block)])
+
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["lognormal", "ties"])
+    def test_fold_after_warm_up_updates(self, start, kind):
+        """The warm-up hand-off lands inside the folded window."""
+        rng = np.random.default_rng([start, len(kind)])
+        block = _p2_samples(rng, start + 40, 50, kind)
+        steps = [("update", row) for row in block[:start]] + [("fold", block[start:])]
+        _run_p2_pair(90.0, 50, steps)
+
+    @pytest.mark.parametrize("q", [10.0, 90.0])
+    def test_window_split_across_calls(self, q):
+        rng = np.random.default_rng(int(q))
+        block = _p2_samples(rng, 120, 200, "lognormal")
+        steps = [
+            ("fold", block[:3]),
+            ("update", block[3]),
+            ("fold", block[4:9]),
+            ("fold", block[9:9]),
+            ("update", block[9]),
+            ("fold", block[10:70]),
+            ("update", block[70]),
+            ("fold", block[71:]),
+        ]
+        _run_p2_pair(q, 200, steps)
+
+    @pytest.mark.parametrize("kind", ["lognormal", "ties"])
+    def test_heterogeneous_counts_after_remap(self, kind):
+        """Fresh streams warm up inside bulk folds over mature ones."""
+        rng = np.random.default_rng(len(kind))
+        steps = [("fold", _p2_samples(rng, 30, 40, kind))]
+        # Drop some streams, reorder the rest, seed fresh ones.
+        mapping = np.concatenate([rng.permutation(40)[:30], [-1] * 12])
+        steps.append(("remap", mapping))
+        steps.append(("fold", _p2_samples(rng, 3, 42, kind)))
+        steps.append(("update", _p2_samples(rng, 1, 42, kind)[0]))
+        steps.append(("remap", np.concatenate([np.arange(42), [-1] * 5])))
+        steps.append(("fold", _p2_samples(rng, 4, 47, kind)))
+        steps.append(("fold", _p2_samples(rng, 50, 47, kind)))
+        steps.append(("update", _p2_samples(rng, 1, 47, kind)[0]))
+        steps.append(("fold", _p2_samples(rng, 20, 47, kind)))
+        _run_p2_pair(75.0, 40, steps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_streams=st.integers(1, 60),
+        q=st.sampled_from(_P2_QS),
+        kind=st.sampled_from(_P2_KINDS),
+        pieces=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+        remap=st.booleans(),
+    )
+    def test_hypothesis(self, seed, num_streams, q, kind, pieces, remap):
+        rng = np.random.default_rng(seed)
+        steps = []
+        width = num_streams
+        for k, length in enumerate(pieces):
+            if remap and k == 1:
+                keep = rng.permutation(width)[: max(1, width // 2)]
+                mapping = np.concatenate([keep, [-1] * int(rng.integers(0, 5))])
+                steps.append(("remap", mapping))
+                width = mapping.size
+            if length == 1:
+                steps.append(("update", _p2_samples(rng, 1, width, kind)[0]))
+            else:
+                steps.append(("fold", _p2_samples(rng, length, width, kind)))
+        _run_p2_pair(q, num_streams, steps)
