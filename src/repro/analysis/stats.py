@@ -611,6 +611,16 @@ class PSquarePercentile:
         self._count = 0
 
 
+#: Marker index per row of a marker-major ``(5, n)`` state.
+_MARKER_RANKS = np.arange(5)[:, None]
+
+#: Streams per chunk of :meth:`BatchPSquare.fold_window`: the chunk's
+#: marker-major state (three ``(5, chunk)`` float64 arrays, 768 KB) and
+#: its per-sample temporaries stay in a 2 MB per-core L2 cache for the
+#: whole window, and the fold never copies more state than this.
+_FOLD_STREAMS = 8192
+
+
 def _absorb_markers(
     values: np.ndarray,
     heights: np.ndarray,
@@ -618,44 +628,49 @@ def _absorb_markers(
     desired: np.ndarray,
     increments: np.ndarray,
 ) -> None:
-    """One vectorized P² absorb step, in place on the supplied arrays."""
-    low = values < heights[:, 0]
-    high = values >= heights[:, 4]
-    heights[low, 0] = values[low]
-    heights[high, 4] = values[high]
+    """One vectorized P² absorb step, in place on marker-major arrays.
+
+    ``heights``, ``positions`` and ``desired`` are ``(5, n)``: row ``i``
+    holds marker ``i`` of every stream, so each marker is one contiguous
+    row when the arrays are (or copy) the stored ``(n, 5)`` state
+    transposed — a ``.T`` view works too, at strided speed.  Only the
+    streams whose marker moves run the parabolic/linear step: every
+    operation is elementwise, so a stream's result does not depend on
+    which other streams share the call.
+    """
+    low = values < heights[0]
+    high = values >= heights[4]
+    np.copyto(heights[0], values, where=low)
+    np.copyto(heights[4], values, where=high)
     # The scalar walk `while cell < 3 and value >= heights[cell + 1]`
     # counts how many of the middle markers the value clears.
-    cell = (values[:, None] >= heights[:, 1:4]).sum(axis=1)
+    cell = (values >= heights[1:4]).sum(axis=0)
     cell[low] = 0
     cell[high] = 3
-    positions += np.arange(5) > cell[:, None]
-    desired += increments
+    positions += _MARKER_RANKS > cell
+    desired += increments[:, None]
     for i in (1, 2, 3):
-        delta = desired[:, i] - positions[:, i]
-        step_up = positions[:, i + 1] - positions[:, i]
-        step_down = positions[:, i - 1] - positions[:, i]
+        delta = desired[i] - positions[i]
+        step_up = positions[i + 1] - positions[i]
+        step_down = positions[i - 1] - positions[i]
         move = ((delta >= 1.0) & (step_up > 1.0)) | ((delta <= -1.0) & (step_down < -1.0))
-        if not move.any():
+        moved = move.nonzero()[0]
+        if not moved.size:
             continue
-        direction = np.where(delta >= 1.0, 1.0, -1.0)
+        h_lo, h, h_hi = heights[i - 1, moved], heights[i, moved], heights[i + 1, moved]
+        p_lo, p, p_hi = positions[i - 1, moved], positions[i, moved], positions[i + 1, moved]
+        direction = np.where(delta[moved] >= 1.0, 1.0, -1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            span = positions[:, i + 1] - positions[:, i - 1]
-            upper = (positions[:, i] - positions[:, i - 1] + direction) * (
-                (heights[:, i + 1] - heights[:, i]) / (positions[:, i + 1] - positions[:, i])
-            )
-            lower = (positions[:, i + 1] - positions[:, i] - direction) * (
-                (heights[:, i] - heights[:, i - 1]) / (positions[:, i] - positions[:, i - 1])
-            )
-            candidate = heights[:, i] + direction / span * (upper + lower)
-            parabolic_ok = (heights[:, i - 1] < candidate) & (candidate < heights[:, i + 1])
-            neighbour_h = np.where(direction > 0, heights[:, i + 1], heights[:, i - 1])
-            neighbour_p = np.where(direction > 0, positions[:, i + 1], positions[:, i - 1])
-            linear = heights[:, i] + direction * (neighbour_h - heights[:, i]) / (
-                neighbour_p - positions[:, i]
-            )
-        adjusted = np.where(parabolic_ok, candidate, linear)
-        heights[move, i] = adjusted[move]
-        positions[move, i] += direction[move]
+            span = p_hi - p_lo
+            upper = (p - p_lo + direction) * ((h_hi - h) / (p_hi - p))
+            lower = (p_hi - p - direction) * ((h - h_lo) / (p - p_lo))
+            candidate = h + direction / span * (upper + lower)
+            parabolic_ok = (h_lo < candidate) & (candidate < h_hi)
+            neighbour_h = np.where(direction > 0, h_hi, h_lo)
+            neighbour_p = np.where(direction > 0, p_hi, p_lo)
+            linear = h + direction * (neighbour_h - h) / (neighbour_p - p)
+        heights[i, moved] = np.where(parabolic_ok, candidate, linear)
+        positions[i, moved] = p + direction
 
 
 class BatchPSquare:
@@ -778,7 +793,9 @@ class BatchPSquare:
             self._counts = None
 
     def _absorb(self, values: np.ndarray) -> None:
-        _absorb_markers(values, self._heights, self._positions, self._desired, self._increments)
+        _absorb_markers(
+            values, self._heights.T, self._positions.T, self._desired.T, self._increments
+        )
 
     def _absorb_rows(self, values: np.ndarray, rows: np.ndarray) -> None:
         """Run one absorb step on a subset of streams only.
@@ -790,7 +807,7 @@ class BatchPSquare:
         heights = self._heights[rows]
         positions = self._positions[rows]
         desired = self._desired[rows]
-        _absorb_markers(values[rows], heights, positions, desired, self._increments)
+        _absorb_markers(values[rows], heights.T, positions.T, desired.T, self._increments)
         self._heights[rows] = heights
         self._positions[rows] = positions
         self._desired[rows] = desired
@@ -816,17 +833,27 @@ class BatchPSquare:
         while self._count < 5 and start < data.shape[0]:
             self.update(data[start])
             start += 1
-        if self._counts is None:
-            for row in data[start:]:
-                self._absorb(row)
-                self._count += 1
-        else:
-            # Heterogeneous counts with every stream mature: bulk path
-            # plus per-stream count bookkeeping.
-            for row in data[start:]:
-                self._absorb(row)
-                self._counts += 1
-                self._count += 1
+        rest = data[start:]
+        if not rest.shape[0]:
+            return
+        # Every stream is mature here (heterogeneous counts included), so
+        # each stream chunk folds the whole rest of the window through a
+        # marker-major copy of its state: contiguous marker rows for every
+        # sample, and one copy in and out per window instead of strided
+        # column reads per sample.
+        for lo in range(0, self._n, _FOLD_STREAMS):
+            hi = min(lo + _FOLD_STREAMS, self._n)
+            heights = self._heights[lo:hi].T.copy()
+            positions = self._positions[lo:hi].T.copy()
+            desired = self._desired[lo:hi].T.copy()
+            for row in rest[:, lo:hi]:
+                _absorb_markers(row, heights, positions, desired, self._increments)
+            self._heights[lo:hi] = heights.T
+            self._positions[lo:hi] = positions.T
+            self._desired[lo:hi] = desired.T
+        if self._counts is not None:
+            self._counts += rest.shape[0]
+        self._count += rest.shape[0]
 
     def snapshot(self) -> dict:
         """Serializable copy of the full marker state.

@@ -84,6 +84,7 @@ Interpretation notes (the paper gives the mechanism, not every corner):
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
 
@@ -157,10 +158,10 @@ class _Bin:
     path).  ``ref_sum`` and ``pair_weight`` are the indexed fast path's
     incremental Eqn-2 state: the committed reference sum ``R_S`` and the
     weighted pairwise sum ``T_S = sum_j r_j * sum_{k != j} C(j, k)``.
-    ``cost_cache`` memoizes the indexed path's (fitting slots, costs)
-    pair for the current membership; it is invalidated whenever a VM is
-    placed *into this bin* (placements elsewhere only shrink the free
-    mask, which is applied on read).
+    ``cost_cache`` memoizes the indexed path's (fitting slots, costs,
+    bucketed costs) triple for the current membership; it is invalidated
+    whenever a VM is placed *into this bin* (placements elsewhere only
+    shrink the free mask, which is applied on read).
     """
 
     __slots__ = ("index", "members", "remaining", "ref_sum", "pair_weight", "cost_cache")
@@ -171,7 +172,7 @@ class _Bin:
         self.remaining = capacity
         self.ref_sum = 0.0
         self.pair_weight = 0.0
-        self.cost_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self.cost_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 class _StringCandidates:
@@ -299,39 +300,40 @@ class _IndexedCandidates:
     def any_fits(self, free_capacity: float) -> bool:
         return bool((self._r[self._free] <= free_capacity + _FIT_EPS).any())
 
-    def _bin_costs(self, bin_: _Bin) -> tuple[np.ndarray, np.ndarray]:
-        """Fitting candidate slots and their prospective costs (memoized).
+    def _bin_costs(self, bin_: _Bin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fitting slots, their prospective costs and bucketed costs (memoized).
 
         Computed over the slots that are free *and* fit at compute time.
         A bin's ``remaining`` only changes with its membership (which
         invalidates the cache) and the free mask only ever shrinks, so a
-        cached pair stays a valid superset of the live fitting set —
-        readers re-apply the free mask, which is O(|cached|), instead of
-        re-running the O(|fitting| x |bin|) Eqn-2 evaluation.
+        cached triple stays a valid superset of the live fitting set —
+        readers mask it with the free set, which is O(|cached|), instead
+        of re-running the O(|fitting| x |bin|) Eqn-2 evaluation.
+        Bucketing is elementwise, so bucketing every cached cost once
+        gives each candidate the same value as bucketing it at pick time.
         """
         cache = bin_.cost_cache
         if cache is None:
-            fitting = np.flatnonzero(
-                self._free & (self._r <= bin_.remaining + _FIT_EPS)
-            )
+            r = self._r
+            fitting = (self._free & (r <= bin_.remaining + _FIT_EPS)).nonzero()[0]
             members = np.asarray(bin_.members, dtype=np.intp)
-            sub = self._costs[np.ix_(fitting, members)]
-            cross = sub @ self._r[members] + self._r[fitting] * sub.sum(axis=1)
-            totals = bin_.ref_sum + self._r[fitting]
+            # The C-contiguous (fitting, members) gather, as np.ix_ would
+            # index it, without np.ix_'s per-call argument checks.
+            sub = self._costs[fitting[:, None], members]
+            r_fitting = r[fitting]
+            cross = sub @ r[members] + r_fitting * sub.sum(axis=1)
+            totals = bin_.ref_sum + r_fitting
             with np.errstate(divide="ignore", invalid="ignore"):
                 costs = np.where(
                     totals > 0.0,
                     (bin_.pair_weight + cross) / (totals * members.size),
                     1.0,
                 )
-            cache = (fitting, costs)
+            resolution = self._resolution
+            bucketed = np.round(costs / resolution) * resolution if resolution > 0 else costs
+            cache = (fitting, costs, bucketed)
             bin_.cost_cache = cache
-        fitting, costs = cache
-        live = self._free[fitting]
-        if not live.all():
-            fitting = fitting[live]
-            costs = costs[live]
-        return fitting, costs
+        return cache
 
     def pick(self, bin_: _Bin, threshold: float) -> int | None:
         if not bin_.members:
@@ -342,20 +344,18 @@ class _IndexedCandidates:
                 return None
             # Canonical order is descending reference: the FFD move.
             return int(fitting[0])
-        fitting, costs = self._bin_costs(bin_)
+        fitting, costs, bucketed = self._bin_costs(bin_)
         if fitting.size == 0:
             return None
-        admissible = costs > threshold
-        if not admissible.any():
+        # One masked argmax over the live, admissible candidates.  argmax
+        # returns the *first* maximum; slots are in canonical (descending
+        # reference, then name) order, so the bucket tie-break matches the
+        # string path's (-cost, -reference, name) key.
+        admissible = self._free[fitting] & (costs > threshold)
+        best = int(np.where(admissible, bucketed, -np.inf).argmax())
+        if not admissible[best]:
             return None
-        candidates = fitting[admissible]
-        costs = costs[admissible]
-        resolution = self._resolution
-        bucketed = np.round(costs / resolution) * resolution if resolution > 0 else costs
-        # argmax returns the *first* maximum; slots are in canonical
-        # (descending reference, then name) order, so the bucket tie-break
-        # matches the string path's (-cost, -reference, name) key.
-        return int(candidates[np.argmax(bucketed)])
+        return int(fitting[best])
 
     def best_cost(self, bin_: _Bin) -> float | None:
         """Highest prospective cost among free fitting candidates.
@@ -368,8 +368,9 @@ class _IndexedCandidates:
             if self.any_fits(bin_.remaining):
                 return math.inf
             return None
-        fitting, costs = self._bin_costs(bin_)
-        if fitting.size == 0:
+        fitting, costs, _ = self._bin_costs(bin_)
+        costs = costs[self._free[fitting]]
+        if costs.size == 0:
             return None
         return float(costs.max())
 
@@ -785,73 +786,78 @@ class CorrelationAwareAllocator:
         estimate: int,
         max_servers: int | None,
     ) -> list[_Bin]:
-        """The Fig-2 sweep loop, agnostic of the candidate strategy."""
+        """The Fig-2 sweep loop, agnostic of the candidate strategy.
+
+        Line 10 / 18: each sweep asks the servers in descending order of
+        remaining capacity (ties: lower index) and places one VM on the
+        first that picks one, so the target server is re-ranked after
+        every placement.  ``ranked`` holds the ``(-Rem_i, index)`` keys
+        in that order; a placement moves one key with one ``insort``
+        instead of re-sorting every bin.
+
+        A bin whose pick comes back empty leaves ``ranked`` until the
+        threshold degenerates or a server opens.  Its members and
+        ``Rem_i`` cannot change without a placement into it and the
+        free set only shrinks, so at the same threshold it would come
+        back empty again: each sweep asks the same bins in the same
+        order as a full re-ranked pass, minus answers already known.
+        """
         bins = [_Bin(i, capacity) for i in range(estimate)]
         threshold = self._config.th_cost
         max_sweeps = self._config.max_sweeps
         sweeps = 0
-        # Dense mirror of per-bin remaining capacity: the line-10/18
-        # "servers by descending Rem_i" ranking is one C-level lexsort
-        # over this vector instead of a Python key-lambda sort of the
-        # bin objects per placement (which dominated large allocations).
-        remaining = np.full(len(bins), capacity, dtype=float)
+        ranked = [(-capacity, i) for i in range(estimate)]
         while candidates.remaining:
             sweeps += 1
             if sweeps > max_sweeps:
                 raise CapacityError(
                     f"allocation did not converge within {max_sweeps} sweeps"
                 )
-            progress = False
-            # Line 10 / 18: servers in descending order of remaining
-            # capacity; one placement per pass position, so the target
-            # server is re-ranked after every placement.  lexsort's last
-            # key is primary: descending remaining, then ascending index
-            # — the same total order as sorting (-remaining, index).
-            order = np.lexsort((np.arange(remaining.size), -remaining))
-            for pos in order:
-                bin_ = bins[pos]
+            while ranked:
+                bin_ = bins[ranked[0][1]]
                 chosen = candidates.pick(bin_, threshold)
-                if chosen is None:
-                    continue
+                if chosen is not None:
+                    break
+                del ranked[0]
+            if ranked:
                 candidates.place(bin_, chosen)
-                remaining[bin_.index] = bin_.remaining
-                progress = True
-                break
-            if candidates.remaining and not progress:
-                # Batched sweep across TH levels: bin costs are unchanged
-                # until the next placement, so the highest prospective
-                # cost ``best`` across all bins decides every pending
-                # threshold comparison at once.  Degenerate through
-                # exactly the levels the level-by-level loop would have
-                # swept unproductively (same repeated ``*= alpha`` float
-                # trajectory, same ``max_sweeps`` accounting), then let
-                # the outer loop run the first productive sweep.
-                best = float("-inf")
-                for bin_ in bins:
-                    bin_best = candidates.best_cost(bin_)
-                    if bin_best is not None and bin_best > best:
-                        best = bin_best
-                if best > float("-inf"):
-                    # Correlation-blocked: degenerate the threshold (line 17).
-                    threshold *= self._config.alpha
-                    while best <= threshold:
-                        sweeps += 1
-                        if sweeps > max_sweeps:
-                            raise CapacityError(
-                                f"allocation did not converge within {max_sweeps} sweeps"
-                            )
-                        threshold *= self._config.alpha
-                else:
-                    # Capacity-blocked (nothing fits anywhere): the Eqn-3
-                    # estimate was too tight for this fragmentation; open
-                    # one more server.
-                    if max_servers is not None and len(bins) >= max_servers:
+                del ranked[0]
+                insort(ranked, (-float(bin_.remaining), bin_.index))
+                continue
+            # Batched sweep across TH levels: bin costs are unchanged
+            # until the next placement, so the highest prospective cost
+            # ``best`` across all bins decides every pending threshold
+            # comparison at once.  Degenerate through exactly the levels
+            # the level-by-level loop would have swept unproductively
+            # (same repeated ``*= alpha`` float trajectory, same
+            # ``max_sweeps`` accounting), then let the outer loop run the
+            # first productive sweep.
+            best = float("-inf")
+            for bin_ in bins:
+                bin_best = candidates.best_cost(bin_)
+                if bin_best is not None and bin_best > best:
+                    best = bin_best
+            if best > float("-inf"):
+                # Correlation-blocked: degenerate the threshold (line 17).
+                threshold *= self._config.alpha
+                while best <= threshold:
+                    sweeps += 1
+                    if sweeps > max_sweeps:
                         raise CapacityError(
-                            f"cannot place {candidates.remaining} VMs within "
-                            f"{max_servers} servers of capacity {capacity}"
+                            f"allocation did not converge within {max_sweeps} sweeps"
                         )
-                    bins.append(_Bin(len(bins), capacity))
-                    remaining = np.append(remaining, capacity)
+                    threshold *= self._config.alpha
+            else:
+                # Capacity-blocked (nothing fits anywhere): the Eqn-3
+                # estimate was too tight for this fragmentation; open
+                # one more server.
+                if max_servers is not None and len(bins) >= max_servers:
+                    raise CapacityError(
+                        f"cannot place {candidates.remaining} VMs within "
+                        f"{max_servers} servers of capacity {capacity}"
+                    )
+                bins.append(_Bin(len(bins), capacity))
+            ranked = sorted((-float(bin_.remaining), bin_.index) for bin_ in bins)
         return bins
 
     @staticmethod

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import stats
 from repro.analysis.stats import (
     BatchPSquare,
     PSquarePercentile,
@@ -829,6 +830,23 @@ class TestPSquareStepMatchesReference:
         steps.append(("update", _p2_samples(rng, 1, 47, kind)[0]))
         steps.append(("fold", _p2_samples(rng, 20, 47, kind)))
         _run_p2_pair(75.0, 40, steps)
+
+    @pytest.mark.parametrize("num_streams", [8191, 8192, 8193, 16385])
+    def test_streams_either_side_of_the_chunk(self, num_streams):
+        rng = np.random.default_rng(num_streams)
+        block = _p2_samples(rng, 14, num_streams, "lognormal")
+        block[:, ::3] = _p2_samples(rng, 14, block[:, ::3].shape[1], "ties")
+        _run_p2_pair(90.0, num_streams, [("fold", block[:3]), ("fold", block[3:])])
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_stream_chunk_invariant(self, chunk, monkeypatch):
+        """Streams are independent: any chunking folds to the same bytes."""
+        monkeypatch.setattr(stats, "_FOLD_STREAMS", chunk)
+        rng = np.random.default_rng(chunk)
+        steps = [("fold", _p2_samples(rng, 40, 150, "lognormal"))]
+        steps.append(("remap", np.concatenate([np.arange(150), [-1] * 9])))
+        steps.append(("fold", _p2_samples(rng, 30, 159, "ties")))
+        _run_p2_pair(50.0, 150, steps)
 
     @settings(max_examples=40, deadline=None)
     @given(
