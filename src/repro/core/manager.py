@@ -65,7 +65,8 @@ class ManagerConfig:
         (cost matrix from the latest window alone) is the original
         manager behaviour; larger horizons fold cached per-window parts
         through :class:`~repro.core.correlation.RollingCostHorizon`,
-        exactly like the replay approaches do.
+        exactly like the replay approaches do.  Must be 1 under
+        ``allocator="sharded"``, which uses single-window costs.
     horizon_mode:
         ``"exact"`` or ``"p2"`` — only meaningful for multi-window
         percentile-reference horizons (see
@@ -107,6 +108,8 @@ class ManagerConfig:
             raise ValueError(
                 f'allocator must be "exact" or "sharded", got {self.allocator!r}'
             )
+        if self.allocator == "sharded" and self.horizon_periods != 1:
+            raise ValueError('allocator="sharded" uses single-window costs; set horizon_periods=1')
 
 
 @dataclass(frozen=True)

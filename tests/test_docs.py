@@ -99,6 +99,37 @@ def test_checker_tolerates_bench_jitter_but_detects_staleness(tmp_path, monkeypa
     assert len(errors) == 1 and "stale" in errors[0]
 
 
+def test_checker_guards_the_n100k_evidence(tmp_path, monkeypatch):
+    """README's "~160 s / 1.1 GB peak RSS" must match allocate_sharded.deep,
+    and a regeneration that drops the deep block must not pass silently."""
+    import json
+    import shutil
+
+    checker = _load_checker()
+    shutil.copy(REPO_ROOT / "README.md", tmp_path / "README.md")
+    bench = json.loads((REPO_ROOT / "BENCH_scaling.json").read_text())
+    monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)
+
+    def findings(mutate):
+        edited = json.loads(json.dumps(bench))
+        mutate(edited["allocate_sharded"])
+        (tmp_path / "BENCH_scaling.json").write_text(json.dumps(edited))
+        errors: list[str] = []
+        checker.check_bench_table(errors)
+        return errors
+
+    def scale(key, factor):
+        return lambda sharded: sharded["deep"].update({key: sharded["deep"][key] * factor})
+
+    assert findings(scale("wall_s", 1.2)) == []
+    errors = findings(lambda sharded: sharded.pop("deep"))
+    assert len(errors) == 1 and "allocate_sharded.deep is missing" in errors[0]
+    errors = findings(scale("wall_s", 3.0))
+    assert len(errors) == 1 and "N=100k wall time" in errors[0]
+    errors = findings(scale("peak_rss_mb", 0.3))
+    assert len(errors) == 1 and "N=100k peak RSS" in errors[0]
+
+
 def test_checker_accepts_valid_cli_command(tmp_path, monkeypatch):
     checker = _load_checker()
     good = tmp_path / "good.md"

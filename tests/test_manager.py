@@ -20,6 +20,16 @@ class TestManagerConfig:
         with pytest.raises(ValueError, match="non-negative"):
             ManagerConfig(n_cores=8, freq_levels_ghz=(2.0,), default_reference=-1.0)
 
+    def test_sharded_rejects_a_multi_window_horizon(self):
+        """The sharded decide never pushes the rolling horizon, so a
+        horizon there would be silently ignored."""
+        with pytest.raises(ValueError, match="horizon_periods=1"):
+            ManagerConfig(
+                n_cores=8, freq_levels_ghz=(2.0,), allocator="sharded", horizon_periods=3
+            )
+        ManagerConfig(n_cores=8, freq_levels_ghz=(2.0,), allocator="sharded", horizon_periods=1)
+        ManagerConfig(n_cores=8, freq_levels_ghz=(2.0,), allocator="exact", horizon_periods=3)
+
 
 class TestObservePredict:
     def test_history_accumulates(self, config, four_vm_traces):

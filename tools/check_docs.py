@@ -15,7 +15,10 @@ Three checks over ``README.md`` and ``docs/*.md``:
    README must agree with ``BENCH_scaling.json`` within a slack factor
    (wall-clock timings are noisy run to run; the check catches stale
    *kernels* — a number from before an optimisation landed — not
-   box-to-box jitter).
+   box-to-box jitter).  The same holds for README's N=100k claim
+   ("~160 s / 1.1 GB peak RSS") against ``allocate_sharded.deep``; a
+   missing ``deep`` block is an error, because regenerating
+   ``allocate_sharded`` without ``REPRO_SHARDED_DEEP=1`` drops it.
 
 Exit status 0 when all checks pass; 1 with a per-finding report
 otherwise.
@@ -99,6 +102,9 @@ _BENCH_SLACK = 1.5
 
 _FLOAT = re.compile(r"\d+(?:\.\d+)?")
 
+#: README's N=100k sharded claim: wall seconds and peak RSS in GB.
+_DEEP_CLAIM = re.compile(r"~(\d+(?:\.\d+)?)\s*s\s*/\s*(\d+(?:\.\d+)?)\s*GB\s+peak\s+RSS")
+
 
 def _row_numbers(readme: str, label: str) -> list[float] | None:
     """The numeric cells of the README table row containing ``label``."""
@@ -166,12 +172,35 @@ def check_bench_table(errors: list[str]) -> None:
             )
             continue
         for quote, value in zip(quoted, values, strict=True):
-            if not value / _BENCH_SLACK <= quote <= value * _BENCH_SLACK:
-                errors.append(
-                    f"README.md: stale N=1000 benchmark row for {label!r}: "
-                    f"quotes {quote} vs {value} in BENCH_scaling.json "
-                    f"(allowed drift {_BENCH_SLACK}x)"
-                )
+            _check_drift(errors, f"N=1000 benchmark row for {label!r}", quote, value)
+    check_deep_claim(readme, sharded, errors)
+
+
+def check_deep_claim(readme: str, sharded: dict, errors: list[str]) -> None:
+    """README's N=100k sharded claim against ``allocate_sharded.deep``."""
+    claim = _DEEP_CLAIM.search(readme)
+    if claim is None:
+        errors.append("README.md: missing the N=100k '~<s> s / <GB> GB peak RSS' claim")
+        return
+    deep = sharded.get("deep")
+    if deep is None:
+        errors.append(
+            "BENCH_scaling.json: allocate_sharded.deep is missing, but README quotes "
+            "its N=100k run (regenerate allocate_sharded with REPRO_SHARDED_DEEP=1)"
+        )
+        return
+    _check_drift(errors, "N=100k wall time (s)", float(claim[1]), deep["wall_s"])
+    _check_drift(
+        errors, "N=100k peak RSS (MB)", float(claim[2]) * 1024.0, deep["peak_rss_mb"]
+    )
+
+
+def _check_drift(errors: list[str], what: str, quote: float, value: float) -> None:
+    if not value / _BENCH_SLACK <= quote <= value * _BENCH_SLACK:
+        errors.append(
+            f"README.md: stale {what}: quotes {quote} vs {value} in "
+            f"BENCH_scaling.json (allowed drift {_BENCH_SLACK}x)"
+        )
 
 
 def main() -> int:
