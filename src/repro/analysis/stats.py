@@ -615,7 +615,7 @@ class PSquarePercentile:
 _MARKER_RANKS = np.arange(5)[:, None]
 
 #: Streams per chunk of :meth:`BatchPSquare.fold_window`: the chunk's
-#: marker-major state (three ``(5, chunk)`` float64 arrays, 768 KB) and
+#: marker-major state (three ``(5, chunk)`` float64 arrays, 960 KB) and
 #: its per-sample temporaries stay in a 2 MB per-core L2 cache for the
 #: whole window, and the fold never copies more state than this.
 _FOLD_STREAMS = 8192
@@ -837,10 +837,9 @@ class BatchPSquare:
         if not rest.shape[0]:
             return
         # Every stream is mature here (heterogeneous counts included), so
-        # each stream chunk folds the whole rest of the window through a
-        # marker-major copy of its state: contiguous marker rows for every
-        # sample, and one copy in and out per window instead of strided
-        # column reads per sample.
+        # each stream chunk folds the rest of the window through one
+        # marker-major copy of its state, and every sample reads and
+        # writes contiguous marker rows.
         for lo in range(0, self._n, _FOLD_STREAMS):
             hi = min(lo + _FOLD_STREAMS, self._n)
             heights = self._heights[lo:hi].T.copy()
