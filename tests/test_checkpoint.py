@@ -812,6 +812,51 @@ class TestAuditor:
         findings = audit.audit_replay_state(**state)
         assert [check for check, _ in findings] == ["p2_markers"]
 
+    def _live_proposed(self, **overrides):
+        """A ProposedApproach after three real decides (no planted state)."""
+        approach = _proposed(**overrides)
+        traces = _traces(seed=3, periods=3, spp=20)
+        for period in range(3):
+            approach.decide(traces.slice(period * 20, (period + 1) * 20))
+        return approach
+
+    def test_live_horizon_marker_corruption(self):
+        approach = self._live_proposed(reference=ReferenceSpec(90.0), horizon_mode="p2")
+        horizon = approach._horizon
+        assert len(horizon._marker_parts) == 3
+        state = self._healthy_state()
+        state["approach"] = approach
+        assert audit.audit_replay_state(**state) == []
+
+        singles, pairs, count = horizon._marker_parts[1]
+        assert count >= 5
+        singles = singles.copy()
+        singles[0] = singles[0, ::-1]
+        horizon._marker_parts[1] = (singles, pairs, count)
+        findings = audit.audit_replay_state(**state)
+        assert [check for check, _ in findings] == ["p2_markers"]
+
+        events = audit.apply_policy(findings, "degrade", approach, 3)
+        assert [event.action for event in events] == ["rebuilt"]
+        assert horizon._marker_parts == []
+        assert audit.audit_replay_state(**state) == []
+
+    def test_live_cost_matrix_corruption(self):
+        approach = self._live_proposed()
+        state = self._healthy_state()
+        state["approach"] = approach
+        assert audit.audit_replay_state(**state) == []
+
+        dense = approach._last_matrix.as_array()
+        dense.flags.writeable = True
+        dense[0, 1] += 0.25
+        findings = audit.audit_replay_state(**state)
+        assert [check for check, _ in findings] == ["cost_matrix"]
+
+        events = audit.apply_policy(findings, "degrade", approach, 3)
+        assert [event.action for event in events] == ["rebuilt"]
+        assert approach._last_matrix is None
+
     def test_apply_policy_raise(self):
         with pytest.raises(audit.AuditError, match="cost_matrix"):
             audit.apply_policy([("cost_matrix", "broken")], "raise", _bfd(), 4)

@@ -187,3 +187,75 @@ class TestQosSweepSaving:
         assert np.isnan(_power_saving_pct({}))
         assert np.isnan(_power_saving_pct({100.0: self._result(50.0)}))
         assert np.isnan(_power_saving_pct({90.0: self._result(50.0)}))
+
+
+class TestPearsonAblation:
+    """The Pearson ablation is Fig-2 + Eqn-4 over Pearson-derived costs.
+
+    Pins :class:`~repro.experiments.ablations.PearsonProposedApproach`
+    against the allocator and the frequency controller driven directly
+    with :func:`~repro.experiments.ablations.pearson_dense_costs` and
+    last-value predictions (the approach's default predictor).
+    """
+
+    N_CORES = 8
+    LEVELS = (1.2, 1.6, 2.0, 2.3)
+
+    @staticmethod
+    def _window(rng, names, samples=60):
+        from repro.traces.trace import TraceSet, UtilizationTrace
+
+        # Three services sharing a demand shape, so Pearson costs vary.
+        shapes = rng.uniform(0.2, 2.0, (3, samples))
+        return TraceSet(
+            UtilizationTrace(
+                np.clip(shapes[i % 3] + rng.normal(0.0, 0.3, samples), 0.0, None),
+                5.0,
+                name,
+            )
+            for i, name in enumerate(names)
+        )
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_matches_allocator_on_pearson_costs(self, seed):
+        from repro.core.allocation import CorrelationAwareAllocator
+        from repro.core.vf_control import correlation_aware_frequency
+        from repro.experiments.ablations import PearsonProposedApproach, pearson_dense_costs
+        from repro.infrastructure.dvfs import FrequencyLadder
+
+        rng = np.random.default_rng(seed)
+        names = [f"vm{i:02d}" for i in range(14)]
+        approach = PearsonProposedApproach(
+            self.N_CORES, self.LEVELS, max_servers=14, default_reference=4.0
+        )
+        ladder = FrequencyLadder(self.LEVELS)
+        for _ in range(3):
+            window = self._window(rng, names)
+            decision = approach.decide(window)
+
+            dense = pearson_dense_costs(window)
+            index = {name: i for i, name in enumerate(window.names)}
+
+            def cost(a, b, dense=dense, index=index):
+                return float(dense[index[a], index[b]])
+
+            refs = window.references()
+            expected = CorrelationAwareAllocator().allocate(
+                list(window.names),
+                refs,
+                cost,
+                self.N_CORES,
+                14,
+                cost_array=dense,
+                name_index=index,
+            )
+            frequencies = {
+                server: correlation_aware_frequency(
+                    list(members), refs, cost, ladder, self.N_CORES
+                )
+                for server, members in expected.by_server().items()
+            }
+            assert dict(decision.placement.assignment) == dict(expected.assignment)
+            assert decision.placement.num_servers == expected.num_servers
+            assert decision.frequencies == frequencies
+            assert decision.predicted_references == refs
