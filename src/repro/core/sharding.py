@@ -10,19 +10,14 @@ a global matrix:
 1. **Cluster by correlation signature.**  Each VM is reduced to a small
    feature vector (normalized segment-mean profile, normalized
    :meth:`~repro.analysis.stats.BatchPSquare.marker_state` quantile
-   markers, peak-to-mean ratio) and a seeded k-means groups VMs whose
-   demand moves together.  O(N·W) — no pairwise work.
+   markers, peak-to-mean ratio); a seeded k-means groups VMs whose
+   demand moves together, and clusters beyond the ``max_shard_fill``
+   size cap are split.  O(N·W) — no pairwise work.
 2. **Allocate exactly per shard.**  Each shard runs the existing dense
    fast path (:class:`~repro.core.allocation.CorrelationAwareAllocator`
    over a shard-local :class:`~repro.core.correlation.CostMatrix`), so
    intra-shard decisions are bit-for-bit the paper's Fig-2 procedure.
    Per-shard matrices are O((N/S)²) — bounded by the shard-size cap.
-3. **Coordinate via compressed summaries.**  Shards exchange only
-   :class:`ShardSummary` records — folded per-member quantile marker
-   states (:func:`~repro.analysis.stats.fold_marker_states`) plus
-   segment envelope peaks — and a rebalancing pass migrates boundary
-   VMs into a neighbouring shard when the cross-shard summary cost
-   (an Eqn-1 analogue over envelopes) beats the VM's intra-shard cost.
 
 This is the repository's second *approximate-but-gated* feature (after
 ``horizon_mode="p2"``): sharded placements are not bit-identical to the
@@ -34,10 +29,9 @@ anchors hold regardless of configuration:
 
 * ``num_shards=1`` degenerates to the exact allocator, bit-identically
   (same cost values, same canonical packing order).
-* All signature, clustering and summary computation happens in
-  *canonical* (name-sorted) VM order, so placements and folded summary
-  states are invariant — byte-for-byte — under permutations of the
-  input window.
+* All signature and clustering computation happens in *canonical*
+  (name-sorted) VM order, so placements are invariant under
+  permutations of the input window.
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.stats import BatchPSquare, fold_marker_states
+from repro.analysis.stats import BatchPSquare
 from repro.core.allocation import (
     AllocationConfig,
     CapacityError,
@@ -63,13 +57,11 @@ from repro.traces.trace import ReferenceSpec, TraceSet
 
 __all__ = [
     "ENERGY_DEVIATION_BOUND",
-    "ShardSummary",
     "ShardedAllocator",
     "ShardedCostView",
     "ShardingConfig",
     "placement_energy_proxy",
     "shard_population",
-    "shard_summaries",
 ]
 
 #: Committed bound on the relative static-energy-proxy deviation of a
@@ -107,18 +99,12 @@ class ShardingConfig:
         Intended shard population when ``num_shards`` is automatic; the
         per-shard dense matrices are O(``target_shard_vms``²).
     signature_segments:
-        Time segments in the correlation-signature profile and the
-        summary envelopes (clamped to the window length).
+        Time segments in the correlation-signature profile (clamped to
+        the window length).
     signature_quantile:
-        Interior percentile (0, 100) tracked by the per-VM marker states
-        and folded into :attr:`ShardSummary.quantile`.
+        Interior percentile (0, 100) tracked by the per-VM marker states.
     cluster_iterations:
         Lloyd iterations of the seeded k-means.
-    rebalance_passes:
-        Boundary-migration passes after clustering (0 disables).
-    rebalance_margin:
-        A VM migrates only when the best cross-shard summary cost
-        exceeds its intra-shard cost by this relative margin.
     max_shard_fill:
         Hard cap on any shard's population, as a multiple of the mean
         ``N / num_shards`` — bounds the worst-case per-shard O(n²) work;
@@ -140,8 +126,6 @@ class ShardingConfig:
     signature_segments: int = 8
     signature_quantile: float = 90.0
     cluster_iterations: int = 8
-    rebalance_passes: int = 1
-    rebalance_margin: float = 0.05
     max_shard_fill: float = 2.0
     consolidation_patience: int = 32
     seed: int = 0
@@ -157,37 +141,15 @@ class ShardingConfig:
             ("target_shard_vms", 1),
             ("signature_segments", 1),
             ("cluster_iterations", 1),
+            ("consolidation_patience", 0),
+            ("seed", 0),
         ):
-            object.__setattr__(
-                self, name, _require_number(getattr(self, name), name, minimum=minimum, integral=True)
-            )
-        object.__setattr__(
-            self,
-            "rebalance_passes",
-            _require_number(self.rebalance_passes, "rebalance_passes", minimum=0, integral=True),
-        )
-        object.__setattr__(
-            self,
-            "consolidation_patience",
-            _require_number(
-                self.consolidation_patience,
-                "consolidation_patience",
-                minimum=0,
-                integral=True,
-            ),
-        )
-        object.__setattr__(
-            self,
-            "rebalance_margin",
-            _require_number(self.rebalance_margin, "rebalance_margin", minimum=0.0),
-        )
+            value = _require_number(getattr(self, name), name, minimum=minimum, integral=True)
+            object.__setattr__(self, name, value)
         object.__setattr__(
             self,
             "max_shard_fill",
             _require_number(self.max_shard_fill, "max_shard_fill", minimum=1.0),
-        )
-        object.__setattr__(
-            self, "seed", _require_number(self.seed, "seed", minimum=0, integral=True)
         )
         quantile = _require_number(
             self.signature_quantile, "signature_quantile", minimum=0.0
@@ -207,27 +169,6 @@ class ShardingConfig:
         return min(population, max(1, math.ceil(population / self.target_shard_vms)))
 
 
-@dataclass(frozen=True)
-class ShardSummary:
-    """The compressed record one shard exposes to the others.
-
-    ``quantile`` is the shard's typical per-member demand level at
-    ``signature_quantile`` — the per-member marker states merged through
-    :func:`~repro.analysis.stats.fold_marker_states` in canonical member
-    order, so it is byte-stable under permutations of the input window.
-    ``envelope`` holds the segment peaks of the shard's *aggregate*
-    demand signal and ``peak`` its overall peak; together they support
-    the Eqn-1 analogue the rebalancing pass evaluates without touching
-    any member trace.
-    """
-
-    size: int
-    total_reference: float
-    quantile: float
-    peak: float
-    envelope: tuple[float, ...]
-
-
 # --------------------------------------------------------------------------
 # canonical-order helpers (all private helpers take canon-ordered arrays)
 
@@ -243,15 +184,8 @@ def _segment_edges(num_samples: int, segments: int) -> np.ndarray:
     return (np.arange(count + 1, dtype=np.intp) * num_samples) // count
 
 
-def _signature_features(
-    data: np.ndarray, config: ShardingConfig
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-VM correlation signatures from a canon-ordered demand matrix.
-
-    Returns ``(features (N, F), marker_heights (N, 5), count)`` — the
-    marker states are reused by the shard summaries so each window is
-    scanned once.
-    """
+def _signature_features(data: np.ndarray, config: ShardingConfig) -> np.ndarray:
+    """Per-VM correlation signatures ``(N, F)`` from a canon-ordered demand matrix."""
     num_vms, num_samples = data.shape
     edges = _segment_edges(num_samples, config.signature_segments)
     widths = np.diff(edges).astype(float)
@@ -261,7 +195,7 @@ def _signature_features(
 
     estimator = BatchPSquare(config.signature_quantile, num_vms)
     estimator.fold_window(np.ascontiguousarray(data.T))
-    heights, count = estimator.marker_state()
+    heights, _count = estimator.marker_state()
 
     mean_scale = np.where(mean > 0.0, mean, 1.0)
     peak_scale = np.where(peak > 0.0, peak, 1.0)
@@ -275,8 +209,7 @@ def _signature_features(
     )
     center = features.mean(axis=0)
     spread = features.std(axis=0)
-    features = (features - center) / np.where(spread > 0.0, spread, 1.0)
-    return features, heights, count
+    return (features - center) / np.where(spread > 0.0, spread, 1.0)
 
 
 def _pairwise_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -346,207 +279,29 @@ def _split_oversized(labels: np.ndarray, cap: int) -> np.ndarray:
     return _relabel_first_occurrence(labels)
 
 
-def _build_summaries(
-    data: np.ndarray,
-    labels: np.ndarray,
-    marker_heights: np.ndarray,
-    count: int,
-    refs: np.ndarray,
-    config: ShardingConfig,
-) -> tuple[ShardSummary, ...]:
-    """Per-shard compressed summaries from canon-ordered inputs."""
-    num_shards = int(labels.max()) + 1
-    num_samples = data.shape[1]
-    edges = _segment_edges(num_samples, config.signature_segments)
-    aggregate = np.zeros((num_shards, num_samples))
-    np.add.at(aggregate, labels, data)
-    envelopes = np.maximum.reduceat(aggregate, edges[:-1], axis=1)
-    peaks = aggregate.max(axis=1)
-    summaries = []
-    for shard in range(num_shards):
-        members = np.flatnonzero(labels == shard)
-        states = np.ascontiguousarray(marker_heights[members][:, None, :])
-        counts = np.full(members.size, count, dtype=np.intp)
-        folded = fold_marker_states(states, counts, config.signature_quantile)
-        summaries.append(
-            ShardSummary(
-                size=int(members.size),
-                total_reference=float(refs[members].sum()),
-                quantile=float(folded[0]),
-                peak=float(peaks[shard]),
-                envelope=tuple(float(v) for v in envelopes[shard]),
-            )
-        )
-    return tuple(summaries)
-
-
-def _rebalance(
-    data: np.ndarray,
-    labels: np.ndarray,
-    marker_heights: np.ndarray,
-    count: int,
-    refs: np.ndarray,
-    capacity: float,
-    config: ShardingConfig,
-) -> np.ndarray:
-    """Migrate boundary VMs between shards on summary-cost evidence.
-
-    For each VM the pass compares an Eqn-1 analogue over compressed
-    summaries: ``(peak_v + peak_S) / peak(envelope_v + envelope_S)`` —
-    high when the VM's demand profile anti-correlates with the target
-    shard's aggregate (exactly the pairs Fig-2 wants co-located).  A VM
-    moves to the best foreign shard when that cross cost beats its
-    intra-shard cost by ``rebalance_margin``, subject to the population
-    cap and a folded-quantile demand guard (a shard whose typical
-    per-member demand is already high stops admitting).  Moves apply
-    greedily in canonical order against live counts, so the result is
-    deterministic and permutation-invariant.
-    """
-    labels = labels.copy()
-    num_vms, num_samples = data.shape
-    num_shards = int(labels.max()) + 1
-    if num_shards < 2 or config.rebalance_passes == 0:
-        return labels
-    edges = _segment_edges(num_samples, config.signature_segments)
-    vm_envelope = np.maximum.reduceat(data, edges[:-1], axis=1)
-    vm_peak = data.max(axis=1)
-    cap = _shard_size_cap(num_vms, num_shards, config)
-    margin = 1.0 + config.rebalance_margin
-
-    for _ in range(config.rebalance_passes):
-        summaries = _build_summaries(data, labels, marker_heights, count, refs, config)
-        envelopes = np.array([s.envelope for s in summaries])
-        peaks = np.array([s.peak for s in summaries])
-        sizes = np.array([s.size for s in summaries])
-        quantiles = np.array([s.quantile for s in summaries])
-        # Folded-quantile demand guard: the compressed cross-shard signal
-        # for "this shard is already hot".  Admission stops once the
-        # shard's typical member demand would exceed its fair share of
-        # the population-wide folded demand, scaled by max_shard_fill.
-        mean_load = float((sizes * quantiles).sum()) / num_shards
-        admits = (sizes + 1) * quantiles <= max(config.max_shard_fill * mean_load, capacity)
-
-        own_env = envelopes[labels]
-        env_minus = np.maximum(own_env - vm_envelope, 0.0)
-        own_joint = (vm_envelope + env_minus).max(axis=1)
-        own_peak = env_minus.max(axis=1)
-        own_cost = np.where(
-            own_joint > 0.0, (vm_peak + own_peak) / np.where(own_joint > 0.0, own_joint, 1.0), NEUTRAL_COST
-        )
-        # The sole member of a shard never migrates (the move would just
-        # rename the shard) — also keeps every shard non-empty.
-        own_cost[sizes[labels] <= 1] = np.inf
-
-        best_cost = np.full(num_vms, -np.inf)
-        best_shard = np.zeros(num_vms, dtype=np.intp)
-        chunk = max(1, 4_000_000 // max(1, num_shards * vm_envelope.shape[1]))
-        for start in range(0, num_vms, chunk):
-            stop = min(start + chunk, num_vms)
-            joint = (vm_envelope[start:stop, None, :] + envelopes[None, :, :]).max(axis=2)
-            cross = (vm_peak[start:stop, None] + peaks[None, :]) / np.where(
-                joint > 0.0, joint, 1.0
-            )
-            cross[joint <= 0.0] = NEUTRAL_COST
-            cross[np.arange(stop - start), labels[start:stop]] = -np.inf
-            cross[:, sizes >= cap] = -np.inf
-            cross[:, ~admits] = -np.inf
-            best_shard[start:stop] = cross.argmax(axis=1)
-            best_cost[start:stop] = cross[np.arange(stop - start), best_shard[start:stop]]
-
-        movers = np.flatnonzero(best_cost > own_cost * margin)
-        if movers.size == 0:
-            break
-        live = sizes.copy()
-        moved = False
-        for vm in movers:
-            source, target = labels[vm], best_shard[vm]
-            if live[target] >= cap or live[source] <= 1:
-                continue
-            live[source] -= 1
-            live[target] += 1
-            labels[vm] = target
-            moved = True
-        if not moved:
-            break
-    return _relabel_first_occurrence(labels)
-
-
-def _compute_labels(
-    data: np.ndarray,
-    refs: np.ndarray,
-    capacity: float,
-    config: ShardingConfig,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Full canon-order sharding: signatures → k-means → rebalance → cap.
-
-    Returns ``(labels, marker_heights, count)``.
-    """
+def _compute_labels(data: np.ndarray, config: ShardingConfig) -> np.ndarray:
+    """Full canon-order sharding: signatures → k-means → size cap."""
     num_vms = data.shape[0]
     k = config.resolve_num_shards(num_vms)
     if k <= 1:
-        return np.zeros(num_vms, dtype=np.intp), np.empty((num_vms, 0)), 0
-    features, heights, count = _signature_features(data, config)
-    labels = _relabel_first_occurrence(_cluster(features, k, config))
-    labels = _rebalance(data, labels, heights, count, refs, capacity, config)
+        return np.zeros(num_vms, dtype=np.intp)
+    labels = _relabel_first_occurrence(_cluster(_signature_features(data, config), k, config))
     cap = _shard_size_cap(num_vms, int(labels.max()) + 1, config)
-    return _split_oversized(labels, cap), heights, count
+    return _split_oversized(labels, cap)
 
 
-def shard_population(
-    window: TraceSet,
-    config: ShardingConfig | None = None,
-    references: Mapping[str, float] | None = None,
-    n_cores: int = 1,
-) -> np.ndarray:
+def shard_population(window: TraceSet, config: ShardingConfig | None = None) -> np.ndarray:
     """Shard labels for ``window`` (aligned to ``window.names`` order).
 
     The public probe for tests and notebooks: labels are computed in
     canonical (name-sorted) VM order internally, so a permuted window
-    yields identically sharded VMs.  ``references`` feeds the rebalance
-    demand guard; absent, the window's own references are used.
+    yields identically sharded VMs.
     """
     config = config or ShardingConfig()
     order = _canonical_order(window.names)
-    data = window.matrix[order]
-    if references is None:
-        refs = data.max(axis=1)
-    else:
-        refs = np.array([float(references[window.names[i]]) for i in order])
-    labels, _, _ = _compute_labels(data, refs, float(n_cores), config)
     out = np.empty(len(window.names), dtype=np.intp)
-    out[order] = labels
+    out[order] = _compute_labels(window.matrix[order], config)
     return out
-
-
-def shard_summaries(
-    window: TraceSet,
-    labels: Sequence[int] | np.ndarray,
-    config: ShardingConfig | None = None,
-    references: Mapping[str, float] | None = None,
-) -> tuple[ShardSummary, ...]:
-    """Compressed per-shard summaries for ``labels`` over ``window``.
-
-    ``labels`` aligns with ``window.names``; summaries are computed over
-    canonical member order, so folding is byte-stable under window
-    permutations (the property ``tests/test_sharding.py`` pins).
-    """
-    config = config or ShardingConfig()
-    order = _canonical_order(window.names)
-    data = window.matrix[order]
-    canon_labels = np.asarray(labels, dtype=np.intp)[order]
-    if canon_labels.shape != (len(window.names),):
-        raise ValueError("labels must supply one shard id per trace")
-    if canon_labels.min() < 0:
-        raise ValueError("shard labels must be non-negative")
-    canon_labels = _relabel_first_occurrence(canon_labels)
-    if references is None:
-        refs = data.max(axis=1)
-    else:
-        refs = np.array([float(references[window.names[i]]) for i in order])
-    estimator = BatchPSquare(config.signature_quantile, data.shape[0])
-    estimator.fold_window(np.ascontiguousarray(data.T))
-    heights, count = estimator.marker_state()
-    return _build_summaries(data, canon_labels, heights, count, refs, config)
 
 
 # --------------------------------------------------------------------------
@@ -624,41 +379,22 @@ def _consolidate_bins(
 class _ShardPlan:
     """Frozen artefacts of the latest sharded allocate (cost lookups)."""
 
-    __slots__ = (
-        "names",
-        "index",
-        "labels",
-        "data",
-        "period_s",
-        "offsets",
-        "bins",
-        "matrices",
-        "singles",
-        "summaries",
-    )
+    __slots__ = ("names", "index", "labels", "data", "matrices", "singles")
 
     def __init__(
         self,
         names: tuple[str, ...],
         labels: np.ndarray,
         data: np.ndarray,
-        period_s: float,
-        offsets: tuple[int, ...],
-        bins: tuple[int, ...],
         matrices: tuple[CostMatrix, ...],
         singles: np.ndarray,
-        summaries: tuple[ShardSummary, ...],
     ) -> None:
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
         self.labels = labels
         self.data = data
-        self.period_s = period_s
-        self.offsets = offsets
-        self.bins = bins
         self.matrices = matrices
         self.singles = singles
-        self.summaries = summaries
 
     @property
     def num_shards(self) -> int:
@@ -714,8 +450,8 @@ class ShardedAllocator:
     ``snapshot`` / ``restore``) so the approach, manager, audit and
     checkpoint layers drive either interchangeably.  Differences:
 
-    * :meth:`allocate` takes the monitoring *window* (it must shard and
-      summarize the raw traces), not a prebuilt cost matrix.
+    * :meth:`allocate` takes the monitoring *window* (it must shard the
+      raw traces), not a prebuilt cost matrix.
     * Per-shard :class:`CorrelationAwareAllocator` instances persist
       across periods, so each shard's cross-period reindex cache warms
       exactly as in the exact path.  Population swaps and cross-shard
@@ -749,11 +485,6 @@ class ShardedAllocator:
     def last_num_shards(self) -> int:
         """Shard count of the latest :meth:`allocate` (0 before any)."""
         return 0 if self._plan is None else self._plan.num_shards
-
-    @property
-    def last_summaries(self) -> tuple[ShardSummary, ...]:
-        """Compressed summaries of the latest :meth:`allocate`."""
-        return () if self._plan is None else self._plan.summaries
 
     def cost_view(self) -> ShardedCostView:
         """Pairwise cost lookups over the latest :meth:`allocate`."""
@@ -851,22 +582,10 @@ class ShardedAllocator:
         data = window.matrix[order]
         data.flags.writeable = False
         capacity = float(n_cores)
-        refs = np.array(
-            [min(max(float(references[vm]), 0.0), capacity) for vm in canon_names]
-        )
-        labels, heights, count = _compute_labels(data, refs, capacity, self._sharding)
+        labels = _compute_labels(data, self._sharding)
         num_shards = int(labels.max()) + 1
-        if num_shards > 1:
-            summaries = _build_summaries(data, labels, heights, count, refs, self._sharding)
-        else:
-            estimator = BatchPSquare(self._sharding.signature_quantile, data.shape[0])
-            estimator.fold_window(np.ascontiguousarray(data.T))
-            heights, count = estimator.marker_state()
-            summaries = _build_summaries(data, labels, heights, count, refs, self._sharding)
 
         assignment: dict[str, int] = {}
-        offsets: list[int] = []
-        bins: list[int] = []
         matrices: list[CostMatrix] = []
         total_bins = 0
         for shard in range(num_shards):
@@ -885,8 +604,6 @@ class ShardedAllocator:
                 cost_array=matrix.as_array(),
                 name_index=matrix.name_index,
             )
-            offsets.append(total_bins)
-            bins.append(local.num_servers)
             for vm, server in local.assignment.items():
                 assignment[vm] = server + total_bins
             total_bins += local.num_servers
@@ -896,7 +613,9 @@ class ShardedAllocator:
             # Cross-shard consolidation: dissolve the per-shard tail
             # bins the stitching fragmented.  Skipped on single-shard
             # plans, which must stay bit-identical to the exact path.
-            clamped = dict(zip(canon_names, refs.tolist(), strict=True))
+            clamped = {
+                vm: min(max(float(references[vm]), 0.0), capacity) for vm in canon_names
+            }
             assignment = _consolidate_bins(
                 assignment, clamped, capacity, self._sharding.consolidation_patience
             )
@@ -916,12 +635,8 @@ class ShardedAllocator:
             names=canon_names,
             labels=labels,
             data=data,
-            period_s=window.period_s,
-            offsets=tuple(offsets),
-            bins=tuple(bins),
             matrices=tuple(matrices),
             singles=singles,
-            summaries=summaries,
         )
         # Re-emit in original window order (cosmetic: Placement semantics
         # are order-free, but the engine's diffs read better this way).
@@ -1076,11 +791,7 @@ class ShardedAllocator:
                 "names": plan.names,
                 "labels": plan.labels.copy(),
                 "data": plan.data.copy(),
-                "period_s": plan.period_s,
-                "offsets": plan.offsets,
-                "bins": plan.bins,
                 "singles": plan.singles.copy(),
-                "summaries": plan.summaries,
                 "matrices": [
                     {
                         "names": matrix.names,
@@ -1134,12 +845,8 @@ class ShardedAllocator:
             names=tuple(plan_state["names"]),
             labels=np.ascontiguousarray(plan_state["labels"], dtype=np.intp),
             data=data,
-            period_s=float(plan_state["period_s"]),
-            offsets=tuple(int(v) for v in plan_state["offsets"]),
-            bins=tuple(int(v) for v in plan_state["bins"]),
             matrices=tuple(matrices),
             singles=np.ascontiguousarray(plan_state["singles"], dtype=float),
-            summaries=tuple(plan_state["summaries"]),
         )
 
 

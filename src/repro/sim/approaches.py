@@ -211,10 +211,10 @@ class ProposedApproach:
                 self._allocator.reset_cache()
             self._population = window.names
         if self._mode == "sharded":
-            # Single-window costs: sharding re-derives its clusters and
-            # summaries from the current window each period, so the
-            # rolling horizon (whose fold produces a *dense* matrix)
-            # deliberately stays out of this path.
+            # Single-window costs: sharding re-derives its clusters from
+            # the current window each period, so the rolling horizon
+            # (whose fold produces a *dense* matrix) deliberately stays
+            # out of this path.
             placement = self._allocator.allocate(
                 window, predicted, self._n_cores, self._max_servers
             )
@@ -226,8 +226,7 @@ class ProposedApproach:
                 )
                 for server, members in placement.by_server().items()
             }
-            info = {"num_shards": self._allocator.last_num_shards}
-            return ApproachDecision(placement, frequencies, predicted, info)
+            return ApproachDecision(placement, frequencies, predicted)
         matrix = self._horizon.push(window)
         self._last_matrix = matrix
         placement = self._allocator.allocate(
@@ -245,8 +244,7 @@ class ProposedApproach:
             )
             for server, members in placement.by_server().items()
         }
-        mean_cost = matrix.mean_offdiagonal()
-        return ApproachDecision(placement, frequencies, predicted, {"mean_cost": mean_cost})
+        return ApproachDecision(placement, frequencies, predicted)
 
     def evacuate(
         self,

@@ -379,7 +379,7 @@ class TestShardedEvacuate:
         allocator = ShardedAllocator(sharding=config)
         placement = allocator.allocate(window, refs, 8)
 
-        labels = shard_population(window, config, references=refs, n_cores=8)
+        labels = shard_population(window, config)
         by_name = dict(zip(window.names, labels, strict=True))
         failed = sorted(
             {placement.assignment[vm] for vm in window.names if by_name[vm] == 0}
@@ -408,7 +408,7 @@ class TestShardedEvacuate:
 
         # Recompute the touched set independently of the allocator's own
         # bookkeeping: evacuees, plus everything sharing a receiving bin.
-        labels = shard_population(window, config, references=refs, n_cores=8)
+        labels = shard_population(window, config)
         by_name = dict(zip(window.names, labels, strict=True))
         evacuees = [
             vm for vm in window.names if placement.assignment[vm] in set(failed)

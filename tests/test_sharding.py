@@ -11,14 +11,12 @@ structure, plus the two degenerate corners: one shard (bit-identical to
 exact, by construction) and one shard per VM.
 
 Permutation invariance rides along as a property test: the shard
-labels, the folded per-shard summaries, and the final assignment are
-functions of the *population*, never of the VM order the window happens
-to arrive in (everything internal runs in canonical name order).
+labels and the final assignment are functions of the *population*, never
+of the VM order the window happens to arrive in (everything internal
+runs in canonical name order).
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -31,7 +29,6 @@ from repro.core.sharding import (
     ShardingConfig,
     placement_energy_proxy,
     shard_population,
-    shard_summaries,
 )
 from repro.infrastructure.server import XEON_E5410
 from repro.traces.datacenter import DatacenterTraceConfig, generate_datacenter_traces
@@ -186,7 +183,7 @@ class TestPermutationInvariance:
         assert dict(a.assignment) == dict(b.assignment)
         assert a.num_servers == b.num_servers
 
-    def test_labels_and_folded_summaries_are_permutation_invariant(self):
+    def test_labels_are_permutation_invariant(self):
         window = _population(13, 96, 6)
         shuffled = _permuted(window, 42)
         config = ShardingConfig(num_shards=3)
@@ -197,12 +194,25 @@ class TestPermutationInvariance:
         by_name_shuffled = dict(zip(shuffled.names, labels_shuffled, strict=True))
         assert by_name == by_name_shuffled
 
-        # The folded per-shard marker summaries must be *byte*-equal:
-        # fold_marker_states runs over canonical member order, so not
-        # even float summation order may differ.
-        summaries = shard_summaries(window, labels, config)
-        summaries_shuffled = shard_summaries(shuffled, labels_shuffled, config)
-        assert pickle.dumps(summaries) == pickle.dumps(summaries_shuffled)
+    def test_labels_do_not_depend_on_references(self):
+        """The allocator shards by signatures alone, exactly as the probe.
+
+        ``TestShardedEvacuate`` in ``tests/test_faults.py`` finds the
+        allocator's shards through :func:`shard_population`, so the
+        allocator's plan labels must match it whatever the references.
+        """
+        window = _population(17, 128, 8)
+        config = ShardingConfig(num_shards=4)
+        expected = dict(zip(window.names, shard_population(window, config), strict=True))
+        rng = np.random.default_rng(17)
+        peaks = dict(window.references(SPEC))
+        scaled = {vm: float(rng.uniform(0.1, 1.0)) * ref for vm, ref in peaks.items()}
+        for references in (peaks, scaled):
+            allocator = ShardedAllocator(sharding=config)
+            allocator.allocate(window, references, N_CORES)
+            plan = allocator.snapshot()["plan"]
+            labels = dict(zip(plan["names"], plan["labels"].tolist(), strict=True))
+            assert labels == expected
 
 
 class TestShardingConfigValidation:
