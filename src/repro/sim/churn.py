@@ -25,6 +25,7 @@ import math
 import pickle
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Callable, Sequence
@@ -370,9 +371,11 @@ class ChurnEngine:
         when no usable checkpoint exists (cold start).  Checkpoints
         whose identity fingerprint does not match this run are refused
         — resuming a different event stream or config would silently
-        diverge.  Restored state is re-shared against the master
-        trace's name strings so the resumed run re-snapshots
-        byte-identically to an uninterrupted one.
+        diverge.  A checkpoint whose sections no longer unpickle (state
+        written by code that has since changed shape) is reported as a
+        ``RuntimeWarning`` and treated as absent.  Restored state is
+        re-shared against the master trace's name strings so the resumed
+        run re-snapshots byte-identically to an uninterrupted one.
         """
         if self._policy is None:
             return None
@@ -386,9 +389,19 @@ class ChurnEngine:
             raise ValueError(
                 f"{path} was written by a different churn run (fingerprint mismatch)"
             )
+        try:
+            manager_state = pickle.loads(ckpt.sections["manager"])
+            engine_state = pickle.loads(ckpt.sections["engine"])
+        except Exception as error:  # noqa: BLE001 - any unpickling failure
+            warnings.warn(
+                f"checkpoint {path} failed to deserialize ({error}); cold-starting",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return None
         table = dict(zip(self._traces.names, self._traces.names, strict=True))
-        manager_state = _canonicalize(pickle.loads(ckpt.sections["manager"]), table)
-        engine_state = _canonicalize(pickle.loads(ckpt.sections["engine"]), table)
+        manager_state = _canonicalize(manager_state, table)
+        engine_state = _canonicalize(engine_state, table)
         self._manager.restore(manager_state)
         self._active = list(engine_state["active"])
         self._cursor = int(engine_state["cursor"])

@@ -8,6 +8,7 @@ same final manager snapshot bytes.
 from __future__ import annotations
 
 import pickle
+import sys
 
 import pytest
 
@@ -135,6 +136,10 @@ class TestChurnEngine:
             _engine(traces, events)
 
 
+class _RetiredState:
+    """Stands in for checkpointed state whose class was later deleted."""
+
+
 class TestKillMidChurn:
     """Satellite 1: restart-from-checkpoint equals cold uninterrupted run."""
 
@@ -200,6 +205,24 @@ class TestKillMidChurn:
         stranger = _engine(traces, other_events, checkpoint=policy)
         with pytest.raises(ValueError, match="fingerprint"):
             stranger.resume_latest()
+
+    def test_unreadable_checkpoint_warns_and_cold_starts(self, tmp_path, monkeypatch):
+        """A checkpoint pickled against a class the code no longer has."""
+        traces = _traces(num_vms=8)
+        events = self._events(traces)
+        policy = CheckpointPolicy(tmp_path / "ck", every_periods=2)
+        engine = _engine(traces, events, checkpoint=policy)
+        snapshot = engine.manager.snapshot
+        monkeypatch.setattr(
+            engine.manager, "snapshot", lambda: {**snapshot(), "retired": _RetiredState()}
+        )
+        engine.run(4)
+
+        monkeypatch.delattr(sys.modules[__name__], "_RetiredState")
+        revived = _engine(traces, events, checkpoint=policy)
+        with pytest.warns(RuntimeWarning, match=r"\.ckpt failed to deserialize .*_RetiredState"):
+            assert revived.resume_latest() is None
+        assert revived.next_period == 0
 
     def test_resume_without_checkpoint_is_cold_start(self, tmp_path):
         traces = _traces(num_vms=8)
