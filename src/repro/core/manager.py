@@ -235,6 +235,9 @@ class PowerManager:
         Returns the window's observed references (useful for logging).
         """
         observed = window.references(self._config.reference)
+        bad = [vm for vm, value in observed.items() if not math.isfinite(value) or value < 0.0]
+        if bad:
+            raise ValueError(f"non-finite or negative references observed for: {bad}")
         for vm, value in observed.items():
             append_bounded(self._history.setdefault(vm, []), value, self._history_bound)
         return observed

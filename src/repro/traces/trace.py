@@ -459,11 +459,12 @@ class TraceSet:
         """Build a TraceSet directly from a ``(num_traces, samples)`` matrix.
 
         The fast internal constructor: skips the per-trace object round
-        trip (and its per-row finite/negative re-validation) for data that
-        is already a validated demand matrix — the replay engine slices
-        windows out of an existing TraceSet every period, and the
-        per-trace path dominated its profile.  The matrix is copied only
-        if it is writeable.
+        trip for data that is already a validated demand matrix — the
+        replay engine slices windows out of an existing TraceSet every
+        period, and the per-trace path dominated its profile.  A writeable
+        (caller-owned) matrix is checked for finite, non-negative samples
+        and then copied; a read-only one is trusted as a frozen internal
+        slice and taken as is, unchecked.
         """
         data = np.asarray(matrix, dtype=float)
         if data.ndim != 2:
@@ -478,6 +479,8 @@ class TraceSet:
         if period_s <= 0:
             raise ValueError(f"sampling period must be positive, got {period_s}")
         if data.flags.writeable:
+            if not np.isfinite(data).all() or data.min() < 0.0:
+                raise ValueError("trace samples must be finite and non-negative")
             data = data.copy()
             data.flags.writeable = False
         instance = cls.__new__(cls)

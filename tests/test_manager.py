@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.manager import ManagerConfig, PowerManager
 from repro.prediction.predictors import EwmaPredictor, LastValuePredictor
+from repro.traces.trace import TraceSet
 
 
 @pytest.fixture
@@ -61,6 +63,25 @@ class TestObservePredict:
         manager = PowerManager(config)
         manager.observe(four_vm_traces)
         assert manager.predict(["a1"]) == {"a1": 3.0}
+
+    def test_bad_window_is_rejected_before_any_history_write(self, config, four_vm_traces):
+        """A NaN window through a frozen array never reaches the histories.
+
+        The EWMA keeps its whole history, so one stored NaN would make
+        every later decide raise, clean windows included.
+        """
+        manager = PowerManager(config, EwmaPredictor(default=4.0))
+        manager.decide(four_vm_traces)
+        before = manager.history
+        matrix = four_vm_traces.matrix.copy()
+        matrix[2, 1] = np.nan
+        matrix.flags.writeable = False
+        poisoned = TraceSet.from_matrix(matrix, four_vm_traces.names, 1.0)
+        with pytest.raises(ValueError, match=r"references observed for: \['b1'\]"):
+            manager.decide(poisoned)
+        assert manager.history == before
+        decision = manager.decide(four_vm_traces)
+        assert set(decision.placement.assignment) == set(four_vm_traces.names)
 
     def test_reset_clears_history(self, config, four_vm_traces):
         manager = PowerManager(config)

@@ -287,3 +287,10 @@ class TestTraceSet:
     def test_matrix_read_only(self, correlated_pair):
         with pytest.raises(ValueError):
             correlated_pair.matrix[0, 0] = 9.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5])
+    def test_from_matrix_rejects_bad_caller_samples(self, bad):
+        matrix = np.ones((2, 3))
+        matrix[1, 2] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            TraceSet.from_matrix(matrix, ("a", "b"), 1.0)
