@@ -90,10 +90,12 @@ from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.correlation import CostMatrix, RollingCostHorizon
 from repro.core.placement import Placement
 from repro.core.server_cost import CostFn, prospective_server_cost
+from repro.traces.trace import ReferenceSpec, TraceSet
 
-__all__ = ["AllocationConfig", "CorrelationAwareAllocator", "CapacityError"]
+__all__ = ["AllocationConfig", "CorrelationAwareAllocator", "CapacityError", "ExactAllocator"]
 
 _FIT_EPS = 1e-12
 
@@ -899,3 +901,104 @@ class CorrelationAwareAllocator:
                 target.remaining -= size_of(member)
             extra.members.clear()
             extra.remaining = 0.0
+
+
+class ExactAllocator:
+    """Window-level exact allocation: Eqn-1 costs, then Fig 2.
+
+    Shares :class:`~repro.core.sharding.ShardedAllocator`'s protocol, so
+    :class:`~repro.core.manager.PowerManager` drives either backend the
+    same way.  Each :meth:`allocate` prices the window with
+    :meth:`costs` (the rolling-horizon fold), keeps that matrix for
+    :meth:`cost_view` and :meth:`evacuate`, and runs
+    :class:`CorrelationAwareAllocator`'s dense fast path on it.
+    """
+
+    def __init__(
+        self,
+        allocation: AllocationConfig | None = None,
+        reference: ReferenceSpec | None = None,
+        horizon_periods: int = 1,
+        horizon_mode: str = "exact",
+    ) -> None:
+        self._allocator = CorrelationAwareAllocator(allocation)
+        self._horizon = RollingCostHorizon(reference, horizon_periods, horizon_mode)
+        # CostMatrix is immutable, so the latest one is held, never copied.
+        self._last_matrix: CostMatrix | None = None
+
+    def costs(self, window: TraceSet) -> CostMatrix:
+        """The pairwise cost matrix one :meth:`allocate` runs on."""
+        return self._horizon.push(window)
+
+    def allocate(
+        self,
+        window: TraceSet,
+        references: Mapping[str, float],
+        n_cores: int,
+        max_servers: int | None = None,
+    ) -> Placement:
+        """Price ``window`` with :meth:`costs` and place its VMs (Fig 2)."""
+        matrix = self._last_matrix = self.costs(window)
+        return self._allocator.allocate(
+            list(window.names),
+            references,
+            matrix.cost,
+            n_cores,
+            max_servers,
+            cost_array=matrix.as_array(),
+            name_index=matrix.name_index,
+        )
+
+    def cost_view(self) -> CostMatrix:
+        """The cost matrix of the latest :meth:`allocate`."""
+        if self._last_matrix is None:
+            raise RuntimeError("cost_view() requires a prior allocate()")
+        return self._last_matrix
+
+    def evacuate(
+        self,
+        placement: Placement,
+        failed_servers: Sequence[int],
+        references: Mapping[str, float],
+        n_cores: int,
+        num_servers: int | None = None,
+    ) -> Placement:
+        """Re-place the failed servers' VMs against the latest matrix
+        (see :meth:`CorrelationAwareAllocator.evacuate`)."""
+        matrix = self.cost_view()
+        return self._allocator.evacuate(
+            placement,
+            failed_servers,
+            references,
+            n_cores,
+            num_servers,
+            cost_array=matrix.as_array(),
+            name_index=matrix.name_index,
+        )
+
+    def apply_membership(
+        self, added: Sequence[str] = (), removed: Sequence[str] = ()
+    ) -> None:
+        """Hand a membership delta to the reindex cache and the horizon."""
+        self._allocator.apply_membership(added=added, removed=removed)
+        self._horizon.apply_membership(added=added, removed=removed)
+
+    def reset_cache(self) -> None:
+        """Drop the reindex cache, the horizon and the latest matrix."""
+        self._allocator.reset_cache()
+        self._horizon.reset()
+        self._last_matrix = None
+
+    def snapshot(self) -> dict:
+        """Serializable copy of all cross-period state (for checkpoints)."""
+        return {
+            "allocator": self._allocator.snapshot(),
+            "horizon": self._horizon.snapshot(),
+            "last_matrix": self._last_matrix,
+        }
+
+    def restore(self, state: dict) -> None:
+        """Reinstall a :meth:`snapshot` taken from an identical config."""
+        self._allocator.restore(state["allocator"])
+        self._horizon.restore(state["horizon"])
+        self._last_matrix = state["last_matrix"]

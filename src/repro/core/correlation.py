@@ -191,7 +191,7 @@ class CostMatrix:
         ``max`` of the per-window reductions, exactly — which lets a
         rolling-horizon caller fold cached per-window parts instead of
         re-reducing the whole horizon every period (see
-        :meth:`repro.sim.approaches.ProposedApproach.decide`).
+        :class:`RollingCostHorizon`).
         """
         spec = spec or ReferenceSpec()
         data = traces.matrix
@@ -1072,13 +1072,13 @@ class RollingCostHorizon:
 def pearson_cost_matrix(traces: TraceSet) -> np.ndarray:
     """Pearson correlation matrix over a trace window.
 
-    Contract with the metric-ablation adapter
-    (:func:`repro.experiments.ablations.pearson_cost_adapter`): this
+    Contract with the metric ablation
+    (:func:`repro.experiments.ablations.pearson_dense_costs`): this
     returns the *raw* coefficient matrix (unit diagonal, ``rho`` in
-    ``[-1, 1]``); the adapter maps it onto the Eqn-1 cost scale with any
-    rank-preserving transform (low correlation = high cost), so only the
-    rank order of the entries matters.  Degenerate (constant) traces
-    correlate at 0 off-diagonal by convention, matching
+    ``[-1, 1]``, exactly symmetric); the ablation maps it onto the Eqn-1
+    cost scale with any rank-preserving transform (low correlation = high
+    cost), so only the rank order of the entries matters.  Degenerate
+    (constant) traces correlate at 0 off-diagonal by convention, matching
     :func:`repro.analysis.stats.pearson`.
     """
     data = traces.matrix
@@ -1092,5 +1092,9 @@ def pearson_cost_matrix(traces: TraceSet) -> np.ndarray:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     matrix[degenerate, :] = 0.0
     matrix[:, degenerate] = 0.0
+    # corrcoef divides by the two deviations in opposite orders, so [i, j]
+    # and [j, i] can differ in the last bit; mirror the upper triangle.
+    lower = np.tril_indices(n, -1)
+    matrix[lower] = matrix.T[lower]
     np.fill_diagonal(matrix, 1.0)
     return matrix

@@ -4,17 +4,18 @@
 placement period:
 
 1. **UPDATE** — observe the just-finished period's utilization window,
-   append each VM's observed reference utilization to its history, predict
-   the upcoming period's references (last-value by default), and build the
-   Eqn-1 cost matrix from the window.
-2. **ALLOCATE** — run the Fig-2 correlation-aware heuristic against the
+   append each VM's observed reference utilization to its history and
+   predict the upcoming period's references (last-value by default).
+2. **ALLOCATE** — the allocator backend prices the window (the Eqn-1
+   cost matrix over a rolling horizon, or the sharded tier's per-shard
+   costs) and runs the Fig-2 correlation-aware heuristic against the
    predicted references and the Eqn-3 server estimate.
 3. **v/f** — set each active server's static frequency with Eqn 4.
 
-The replay engine (:mod:`repro.sim.engine`) drives one manager per
-compared approach; library users can also drive it directly against live
-monitoring windows, which is the deployment mode the paper describes
-(``t_period`` = 1 hour).
+The replay engine (:mod:`repro.sim.engine`) drives it through
+:class:`~repro.sim.approaches.ProposedApproach`; library users can also
+drive it directly against live monitoring windows, which is the
+deployment mode the paper describes (``t_period`` = 1 hour).
 """
 
 from __future__ import annotations
@@ -23,18 +24,13 @@ import math
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
-from repro.core.allocation import AllocationConfig, CorrelationAwareAllocator
-from repro.core.correlation import CostMatrix, RollingCostHorizon
+from repro.core.allocation import AllocationConfig, ExactAllocator
+from repro.core.correlation import CostMatrix
 from repro.core.placement import Placement
 from repro.core.sharding import ShardedAllocator, ShardedCostView, ShardingConfig
 from repro.core.vf_control import correlation_aware_frequency, estimate_active_servers
 from repro.infrastructure.dvfs import FrequencyLadder, StaticVfSetting
-from repro.prediction.predictors import (
-    LastValuePredictor,
-    Predictor,
-    append_bounded,
-    history_bound,
-)
+from repro.prediction.predictors import LastValuePredictor, Predictor, ReferenceHistory
 from repro.traces.trace import ReferenceSpec, TraceSet
 
 __all__ = ["ManagerConfig", "PeriodDecision", "PowerManager"]
@@ -140,21 +136,24 @@ class PowerManager:
         predictor: Predictor | None = None,
     ) -> None:
         self._config = config
-        self._predictor = predictor or LastValuePredictor(default=config.default_reference)
         # Histories keep only the trailing values the predictor reads, so
         # a long-running loop (``repro serve``) does not grow them forever.
-        self._history_bound = history_bound(self._predictor)
+        self._refs = ReferenceHistory(
+            config.reference,
+            predictor or LastValuePredictor(default=config.default_reference),
+            config.default_reference,
+        )
+        # The only place the backends differ: both share one protocol.
+        self._allocator: ExactAllocator | ShardedAllocator
         if config.allocator == "sharded":
             self._allocator = ShardedAllocator(
                 config.allocation, config.sharding, config.reference
             )
         else:
-            self._allocator = CorrelationAwareAllocator(config.allocation)
+            self._allocator = ExactAllocator(
+                config.allocation, config.reference, config.horizon_periods, config.horizon_mode
+            )
         self._ladder = FrequencyLadder(config.freq_levels_ghz)
-        self._history: dict[str, list[float]] = {}
-        self._horizon = RollingCostHorizon(
-            config.reference, config.horizon_periods, config.horizon_mode
-        )
         # Ordered registry of VMs admitted through the membership API
         # (dict keys as an ordered set).  Populations driven purely
         # through decide() never populate it, which keeps the legacy
@@ -170,7 +169,7 @@ class PowerManager:
     def history(self) -> Mapping[str, tuple[float, ...]]:
         """Per-VM observed reference history (oldest first), trimmed to
         the predictor's ``history_window``."""
-        return {vm: tuple(values) for vm, values in self._history.items()}
+        return self._refs.history
 
     @property
     def members(self) -> tuple[str, ...]:
@@ -183,12 +182,12 @@ class PowerManager:
         On a fresh manager this is pure bookkeeping (all layer caches
         are empty), so a static population driven through
         ``admit()``-then-:meth:`decide` is bit-identical to the batch
-        path.  Mid-stream, each layer invalidates exactly what the
-        arrival touches: the exact allocator keeps its reindex cache
-        (the longer canonical order misses the key on its own), the
-        sharded tier invalidates only the shards the plan maps the
-        arrivals to, and the rolling horizon extends its cached parts
-        so history for surviving VMs keeps folding.
+        path.  Mid-stream, the allocator invalidates exactly what the
+        arrival touches: the exact backend keeps its reindex cache (the
+        longer canonical order misses the key on its own) and extends
+        its rolling horizon's cached parts so history for surviving VMs
+        keeps folding; the sharded tier invalidates only the shards the
+        plan maps the arrivals to.
 
         Admitted VMs are expected to appear in subsequent
         :meth:`decide` windows as survivors (current relative order)
@@ -199,61 +198,50 @@ class PowerManager:
             return
         if len(set(ids)) != len(ids):
             raise ValueError("VM ids must be unique")
-        present = [vm for vm in ids if vm in self._members or vm in self._history]
+        present = [vm for vm in ids if vm in self._members or vm in self._refs]
         if present:
             raise ValueError(f"VMs already admitted: {present!r}")
         for vm in ids:
             self._members[vm] = None
         self._allocator.apply_membership(added=ids)
-        self._horizon.apply_membership(added=ids)
 
     def retire(self, vm_ids: Sequence[str] | str) -> None:
         """Unregister departing VMs from every stateful layer.
 
         Drops the departed VMs' prediction histories and hands the
-        delta to the allocator and horizon so only the state the
-        departure touches is invalidated (sibling shards and surviving
-        horizon windows stay warm).
+        delta to the allocator so only the state the departure touches
+        is invalidated (sibling shards and surviving horizon windows
+        stay warm).
         """
         ids = (vm_ids,) if isinstance(vm_ids, str) else tuple(vm_ids)
         if not ids:
             return
         if len(set(ids)) != len(ids):
             raise ValueError("VM ids must be unique")
-        unknown = [vm for vm in ids if vm not in self._members and vm not in self._history]
+        unknown = [vm for vm in ids if vm not in self._members and vm not in self._refs]
         if unknown:
             raise KeyError(f"VMs never admitted or observed: {unknown!r}")
         for vm in ids:
             self._members.pop(vm, None)
-            self._history.pop(vm, None)
+        self._refs.drop(ids)
         self._allocator.apply_membership(removed=ids)
-        self._horizon.apply_membership(removed=ids)
+
+    def prime(self, true_references: Mapping[str, float]) -> None:
+        """Inject the true upcoming references (consumed by the next predict)."""
+        self._refs.prime(true_references)
 
     def observe(self, window: TraceSet) -> dict[str, float]:
         """UPDATE, part 1: fold an observed window into the histories.
 
         Returns the window's observed references (useful for logging).
+        A window with a non-finite or negative reference is rejected
+        with a ``ValueError`` before any history is written.
         """
-        observed = window.references(self._config.reference)
-        bad = [vm for vm, value in observed.items() if not math.isfinite(value) or value < 0.0]
-        if bad:
-            raise ValueError(f"non-finite or negative references observed for: {bad}")
-        for vm, value in observed.items():
-            append_bounded(self._history.setdefault(vm, []), value, self._history_bound)
-        return observed
+        return self._refs.observe(window)
 
     def predict(self, vm_ids: tuple[str, ...] | list[str]) -> dict[str, float]:
         """UPDATE, part 2: predicted next-period references per VM."""
-        predictions: dict[str, float] = {}
-        for vm in vm_ids:
-            # An observed VM keeps its (possibly empty, for a zero-window
-            # predictor) history; only a never-observed VM gets the default.
-            history = self._history.get(vm)
-            if history is None:
-                predictions[vm] = self._config.default_reference
-            else:
-                predictions[vm] = self._predictor.predict(history)
-        return predictions
+        return self._refs.predict(vm_ids)
 
     def decide(self, window: TraceSet) -> PeriodDecision:
         """Run one full UPDATE + ALLOCATE + v/f cycle.
@@ -263,47 +251,11 @@ class PowerManager:
         """
         self.observe(window)
         predicted = self.predict(list(window.names))
-        estimated = estimate_active_servers(predicted, self._config.n_cores)
-        if self._config.allocator == "sharded":
-            placement = self._allocator.allocate(
-                window, predicted, self._config.n_cores, self._config.max_servers
-            )
-            view = self._allocator.cost_view()
-            frequencies = {
-                server: correlation_aware_frequency(
-                    list(members), predicted, view.cost, self._ladder, self._config.n_cores
-                )
-                for server, members in placement.by_server().items()
-            }
-            return PeriodDecision(
-                placement=placement,
-                frequencies=frequencies,
-                predicted_references=predicted,
-                estimated_servers=estimated,
-                cost_matrix=view,
-            )
-        matrix = self._horizon.push(window)
         placement = self._allocator.allocate(
-            list(window.names),
-            predicted,
-            matrix.cost,
-            self._config.n_cores,
-            max_servers=self._config.max_servers,
-            cost_array=matrix.as_array(),
-            name_index=matrix.name_index,
+            window, predicted, self._config.n_cores, self._config.max_servers
         )
-        frequencies = {
-            server: correlation_aware_frequency(
-                list(members), predicted, matrix.cost, self._ladder, self._config.n_cores
-            )
-            for server, members in placement.by_server().items()
-        }
-        return PeriodDecision(
-            placement=placement,
-            frequencies=frequencies,
-            predicted_references=predicted,
-            estimated_servers=estimated,
-            cost_matrix=matrix,
+        return self._with_frequencies(
+            placement, predicted, estimate_active_servers(predicted, self._config.n_cores)
         )
 
     def evacuate(
@@ -312,63 +264,55 @@ class PowerManager:
         """Amend a decision after server failures (incremental path).
 
         Re-places exactly the failed servers' VMs through the
-        allocator's incremental
-        :meth:`~repro.core.allocation.CorrelationAwareAllocator.evacuate`
-        (reusing the decision's cost matrix and the reindex cache), then
-        recomputes the Eqn-4 frequency for every active server of the
-        amended placement.  Prediction state is untouched — the decision
+        allocator's incremental ``evacuate`` (see
+        :meth:`~repro.core.allocation.CorrelationAwareAllocator.evacuate`),
+        then recomputes the Eqn-4 frequency for every active server of
+        the amended placement.  Both price pairs against the allocator's
+        *latest* cost matrix, so ``decision`` must be the latest
+        :meth:`decide`'s.  Prediction state is untouched — the decision
         is amended, not re-made.
         """
-        matrix = decision.cost_matrix
-        if self._config.allocator == "sharded":
-            placement = self._allocator.evacuate(
-                decision.placement,
-                failed_servers,
-                decision.predicted_references,
-                self._config.n_cores,
-                self._config.max_servers,
-            )
-        else:
-            placement = self._allocator.evacuate(
-                decision.placement,
-                failed_servers,
-                decision.predicted_references,
-                self._config.n_cores,
-                self._config.max_servers,
-                cost_array=matrix.as_array(),
-                name_index=matrix.name_index,
-            )
+        placement = self._allocator.evacuate(
+            decision.placement,
+            failed_servers,
+            decision.predicted_references,
+            self._config.n_cores,
+            self._config.max_servers,
+        )
+        return self._with_frequencies(
+            placement, decision.predicted_references, decision.estimated_servers
+        )
+
+    def _with_frequencies(
+        self, placement: Placement, predicted: Mapping[str, float], estimated: int
+    ) -> PeriodDecision:
+        """Eqn 4 per active server, priced with the latest cost view."""
+        view = self._allocator.cost_view()
         frequencies = {
             server: correlation_aware_frequency(
-                list(members),
-                decision.predicted_references,
-                matrix.cost,
-                self._ladder,
-                self._config.n_cores,
+                list(members), predicted, view.cost, self._ladder, self._config.n_cores
             )
             for server, members in placement.by_server().items()
         }
         return PeriodDecision(
             placement=placement,
             frequencies=frequencies,
-            predicted_references=decision.predicted_references,
-            estimated_servers=decision.estimated_servers,
-            cost_matrix=matrix,
+            predicted_references=predicted,
+            estimated_servers=estimated,
+            cost_matrix=view,
         )
 
     def snapshot(self) -> dict:
         """Serializable copy of the manager's mutable state.
 
-        Covers the per-VM reference histories, the rolling-horizon ring
-        and the allocator's reindex cache — everything :meth:`decide`
-        reads across periods.  The (stateless) predictor and the frozen
-        config are reconstructed, not serialized.
+        Covers the per-VM reference histories and the allocator's
+        cross-period state (exact: reindex cache, rolling-horizon ring
+        and latest cost matrix; sharded: plan and per-shard caches) —
+        everything :meth:`decide` reads across periods.  The (stateless)
+        predictor and the frozen config are reconstructed, not
+        serialized.
         """
-        state = {
-            "history": {vm: list(values) for vm, values in self._history.items()},
-            "allocator": self._allocator.snapshot(),
-            "horizon": self._horizon.snapshot(),
-        }
+        state = {"refs": self._refs.snapshot(), "allocator": self._allocator.snapshot()}
         # Only serialized when the membership API is in use, so
         # batch-driven managers keep the legacy snapshot layout (and
         # their checkpoints) byte-identical.
@@ -378,20 +322,18 @@ class PowerManager:
 
     def restore(self, state: dict) -> None:
         """Reinstall a :meth:`snapshot` taken from an identical config."""
-        self._history = {vm: list(values) for vm, values in state["history"].items()}
+        self._refs.restore(state["refs"])
         self._allocator.restore(state["allocator"])
-        self._horizon.restore(state["horizon"])
         self._members = dict.fromkeys(state.get("members", ()))
 
     def reset(self) -> None:
         """Drop all accumulated history (fresh deployment).
 
-        Also clears the allocator's cross-period reindex cache: the
-        cache is self-validating (a stale one can never change a
-        placement), but a fresh deployment should not pin the previous
-        population's O(N²) snapshot in memory.
+        Also clears the allocator's cross-period state: its caches are
+        self-validating (a stale one can never change a placement), but
+        a fresh deployment should not pin the previous population's
+        O(N²) snapshot in memory.
         """
-        self._history.clear()
+        self._refs.reset()
         self._members.clear()
         self._allocator.reset_cache()
-        self._horizon.reset()

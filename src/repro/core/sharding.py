@@ -445,13 +445,14 @@ class ShardedCostView:
 class ShardedAllocator:
     """Two-level sharded allocation, API-compatible with the exact path.
 
-    Mirrors :class:`~repro.core.allocation.CorrelationAwareAllocator`'s
-    lifecycle (``allocate`` / ``evacuate`` / ``reset_cache`` /
-    ``snapshot`` / ``restore``) so the approach, manager, audit and
+    Shares :class:`~repro.core.allocation.ExactAllocator`'s window-level
+    protocol (``allocate(window, ...)`` / ``cost_view`` / ``evacuate`` /
+    ``apply_membership`` / ``reset_cache`` / ``snapshot`` / ``restore``),
+    so :class:`~repro.core.manager.PowerManager` and the audit and
     checkpoint layers drive either interchangeably.  Differences:
 
-    * :meth:`allocate` takes the monitoring *window* (it must shard the
-      raw traces), not a prebuilt cost matrix.
+    * Pairwise costs come from the current window alone, per shard,
+      never as one N×N matrix (:class:`ShardedCostView`).
     * Per-shard :class:`CorrelationAwareAllocator` instances persist
       across periods, so each shard's cross-period reindex cache warms
       exactly as in the exact path.  Population swaps and cross-shard

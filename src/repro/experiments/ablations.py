@@ -16,13 +16,12 @@ leaves unspecified and the design decisions our reproduction makes:
 from __future__ import annotations
 
 from functools import partial
-from collections.abc import Mapping
 
 import numpy as np
 
 from repro.analysis.reporting import ascii_table
-from repro.core.allocation import AllocationConfig
-from repro.core.correlation import pearson_cost_matrix
+from repro.core.allocation import AllocationConfig, ExactAllocator
+from repro.core.correlation import CostMatrix, pearson_cost_matrix
 from repro.experiments.base import ExperimentResult
 from repro.experiments.setup2 import Setup2Config, build_fine_traces
 from repro.prediction.predictors import (
@@ -36,7 +35,7 @@ from repro.sim.engine import ReplayConfig
 from repro.sim.runner import Scenario, run_scenarios
 from repro.traces.trace import TraceSet
 
-__all__ = ["run", "pearson_cost_adapter", "pearson_dense_costs"]
+__all__ = ["run", "pearson_dense_costs"]
 
 
 def pearson_dense_costs(window: TraceSet) -> np.ndarray:
@@ -49,65 +48,33 @@ def pearson_dense_costs(window: TraceSet) -> np.ndarray:
     return 1.5 - pearson_cost_matrix(window) / 2.0
 
 
-def pearson_cost_adapter(
-    window: TraceSet,
-    dense: np.ndarray | None = None,
-    name_index: Mapping[str, int] | None = None,
-):
-    """A scalar cost function derived from Pearson's correlation.
+class _PearsonExactAllocator(ExactAllocator):
+    """The exact backend with Pearson-derived costs of the latest window."""
 
-    Same mapping as :func:`pearson_dense_costs`, exposed as a
-    string-keyed ``cost_fn`` for the Eqn-4 frequency controller (the
-    allocator itself takes the dense matrix through its fast path).
-    Pass a precomputed ``dense`` matrix and/or ``name_index`` to avoid
-    recomputing them.  Section IV-A's argument is about
-    computation/memory cost and peak-sensitivity, and this adapter lets
-    us measure the latter.
-    """
-    matrix = pearson_dense_costs(window) if dense is None else dense
-    index = (
-        {name: i for i, name in enumerate(window.names)}
-        if name_index is None
-        else name_index
-    )
-
-    def cost(a: str, b: str) -> float:
-        return float(matrix[index[a], index[b]])
-
-    return cost
+    def costs(self, window: TraceSet) -> CostMatrix:
+        dense = pearson_dense_costs(window)
+        dense.flags.writeable = False
+        spec = self._horizon.spec
+        references = np.array(list(window.references(spec).values()))
+        return CostMatrix(window.names, references, dense, spec)
 
 
 class PearsonProposedApproach(ProposedApproach):
-    """The proposed allocator with Pearson correlation as the pair cost."""
+    """The proposed allocator with Pearson correlation as the pair cost.
+
+    Only the cost step differs: the manager's exact backend prices each
+    window with :func:`pearson_dense_costs` instead of the Eqn-1 horizon
+    fold; prediction, Fig-2 allocation, Eqn-4 and evacuation are the
+    proposed pipeline's own.  Section IV-A's argument is about
+    computation/memory cost and peak-sensitivity, and this ablation
+    measures the latter.
+    """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.name = "Proposed (Pearson)"
-
-    def decide(self, window: TraceSet):
-        from repro.core.vf_control import correlation_aware_frequency
-        from repro.sim.approaches import ApproachDecision
-
-        predicted = self._refs.observe_and_predict(window)
-        dense = pearson_dense_costs(window)
-        name_index = {name: i for i, name in enumerate(window.names)}
-        cost_fn = pearson_cost_adapter(window, dense, name_index)
-        placement = self._allocator.allocate(
-            list(window.names),
-            predicted,
-            cost_fn,
-            self._n_cores,
-            self._max_servers,
-            cost_array=dense,
-            name_index=name_index,
-        )
-        frequencies = {
-            server: correlation_aware_frequency(
-                list(members), predicted, cost_fn, self._ladder, self._n_cores
-            )
-            for server, members in placement.by_server().items()
-        }
-        return ApproachDecision(placement, frequencies, predicted)
+        config = self._manager.config
+        self._manager._allocator = _PearsonExactAllocator(config.allocation, config.reference)
 
 
 def _proposed_scenario(

@@ -203,6 +203,8 @@ def setup2_scenarios(
             horizon_mode=config.horizon_mode,
             allocator=config.allocator,
             sharding=config.sharding,
+            # The sharded tier prices single windows; it takes no horizon.
+            **({"horizon_periods": 1} if config.allocator == "sharded" else {}),
         ),
     }
     return [

@@ -122,6 +122,7 @@ def _frontier_scenarios(config: Setup2Config, fine: TraceSet) -> dict[str, objec
             max_servers=config.num_servers,
             allocation=config.allocation,
             default_reference=config.traces.vm_core_cap,
+            horizon_periods=1,
             horizon_mode=config.horizon_mode,
             allocator="sharded",
             sharding=sharding,

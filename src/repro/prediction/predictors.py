@@ -15,10 +15,12 @@ testable and swappable.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from typing import Protocol
 
 import numpy as np
+
+from repro.traces.trace import ReferenceSpec, TraceSet
 
 __all__ = [
     "Predictor",
@@ -29,6 +31,7 @@ __all__ = [
     "OraclePredictor",
     "history_bound",
     "append_bounded",
+    "ReferenceHistory",
 ]
 
 
@@ -71,6 +74,91 @@ def append_bounded(history: list[float], value: float, bound: int | None) -> Non
     history.append(value)
     if bound is not None and len(history) > bound:
         del history[: len(history) - bound]
+
+
+class ReferenceHistory:
+    """Per-VM observed reference history plus next-period prediction.
+
+    The history keeper of :class:`~repro.core.manager.PowerManager` and
+    the replay baselines.  Supports *oracle priming*: the replay engine
+    may inject the true upcoming references (``ReplayConfig.oracle``),
+    which replace the predictor's output for exactly one :meth:`predict`
+    and so separate placement quality from predictor error.
+
+    Histories are bounded to the predictor's declared ``history_window``
+    (see :func:`history_bound`), so a long replay or control loop does
+    not grow per-VM lists forever.
+    """
+
+    def __init__(self, spec: ReferenceSpec, predictor: Predictor, default: float) -> None:
+        self._spec = spec
+        self._predictor = predictor
+        self._default = default
+        self._bound = history_bound(predictor)
+        self._history: dict[str, list[float]] = {}
+        self._primed: dict[str, float] | None = None
+
+    def __contains__(self, vm: str) -> bool:
+        return vm in self._history
+
+    @property
+    def history(self) -> dict[str, tuple[float, ...]]:
+        """Per-VM observed references, oldest first."""
+        return {vm: tuple(values) for vm, values in self._history.items()}
+
+    def prime(self, true_references: Mapping[str, float]) -> None:
+        """Inject the true upcoming references (consumed by the next predict)."""
+        self._primed = dict(true_references)
+
+    def observe(self, window: TraceSet) -> dict[str, float]:
+        """Append each VM's observed reference; returns them.
+
+        The whole window is checked before any append: one stored NaN
+        would make a full-history predictor (EWMA) raise on every later
+        period, clean windows included.
+        """
+        observed = window.references(self._spec)
+        bad = [vm for vm, value in observed.items() if not math.isfinite(value) or value < 0.0]
+        if bad:
+            raise ValueError(f"non-finite or negative references observed for: {bad}")
+        for vm, value in observed.items():
+            append_bounded(self._history.setdefault(vm, []), value, self._bound)
+        return observed
+
+    def predict(self, vm_ids: Sequence[str]) -> dict[str, float]:
+        """Predicted next-period reference per VM (primed value first;
+        a never-observed VM gets the default)."""
+        primed = self._primed
+        self._primed = None
+        predictions: dict[str, float] = {}
+        for vm in vm_ids:
+            if primed is not None and vm in primed:
+                predictions[vm] = primed[vm]
+                continue
+            history = self._history.get(vm)
+            predictions[vm] = (
+                self._default if history is None else self._predictor.predict(history)
+            )
+        return predictions
+
+    def drop(self, vm_ids: Iterable[str]) -> None:
+        """Forget departed VMs."""
+        for vm in vm_ids:
+            self._history.pop(vm, None)
+
+    def reset(self) -> None:
+        self._history.clear()
+        self._primed = None
+
+    def snapshot(self) -> dict:
+        return {
+            "history": {vm: list(values) for vm, values in self._history.items()},
+            "primed": None if self._primed is None else dict(self._primed),
+        }
+
+    def restore(self, state: dict) -> None:
+        self._history = {vm: list(values) for vm, values in state["history"].items()}
+        self._primed = None if state["primed"] is None else dict(state["primed"])
 
 
 def _validated(history: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -28,18 +28,15 @@ from typing import Protocol
 from repro.baselines.bfd import best_fit_decreasing
 from repro.baselines.ffd import first_fit_decreasing
 from repro.baselines.pcp import PcpConfig, peak_clustering_placement
-from repro.core.allocation import AllocationConfig, CorrelationAwareAllocator
-from repro.core.correlation import RollingCostHorizon
-from repro.core.sharding import ShardedAllocator, ShardingConfig
+from repro.core.allocation import AllocationConfig
+from repro.core.manager import ManagerConfig, PowerManager
+from repro.core.sharding import ShardingConfig
 from repro.core.placement import Placement
-from repro.core.vf_control import correlation_aware_frequency, peak_sum_frequency
+from repro.core.vf_control import peak_sum_frequency
+# Kept importable here: perfbench's tracer patches this module's name.
+from repro.core.vf_control import correlation_aware_frequency  # noqa: F401
 from repro.infrastructure.dvfs import FrequencyLadder, StaticVfSetting
-from repro.prediction.predictors import (
-    LastValuePredictor,
-    Predictor,
-    append_bounded,
-    history_bound,
-)
+from repro.prediction.predictors import LastValuePredictor, Predictor, ReferenceHistory
 from repro.traces.trace import ReferenceSpec, TraceSet
 
 __all__ = [
@@ -76,62 +73,6 @@ class ConsolidationApproach(Protocol):
         ...
 
 
-class _ReferenceHistory:
-    """Shared per-VM reference history + prediction helper.
-
-    Supports *oracle priming*: the replay engine may inject the true
-    upcoming references (see ``ReplayConfig.oracle``), which then replace
-    the predictor's output for exactly one decision.  This separates
-    placement quality from predictor error in the ablation experiments.
-
-    Histories are bounded to the predictor's declared ``history_window``
-    (see :class:`~repro.prediction.predictors.Predictor`): a replay over
-    thousands of periods must not grow per-VM lists forever when the
-    predictor only ever reads the last few values.  Predictors without
-    the attribute, or declaring ``None``, keep the full history.
-    """
-
-    def __init__(self, spec: ReferenceSpec, predictor: Predictor, default: float) -> None:
-        self._spec = spec
-        self._predictor = predictor
-        self._default = default
-        self._bound = history_bound(predictor)
-        self._history: dict[str, list[float]] = {}
-        self._primed: dict[str, float] | None = None
-
-    def prime(self, true_references: dict[str, float]) -> None:
-        """Inject the true upcoming references (consumed by next predict)."""
-        self._primed = dict(true_references)
-
-    def observe_and_predict(self, window: TraceSet) -> dict[str, float]:
-        observed = window.references(self._spec)
-        primed = self._primed
-        self._primed = None
-        predictions: dict[str, float] = {}
-        for vm, value in observed.items():
-            history = self._history.setdefault(vm, [])
-            append_bounded(history, value, self._bound)
-            if primed is not None and vm in primed:
-                predictions[vm] = primed[vm]
-            else:
-                predictions[vm] = self._predictor.predict(history)
-        return predictions
-
-    def reset(self) -> None:
-        self._history.clear()
-        self._primed = None
-
-    def snapshot(self) -> dict:
-        return {
-            "history": {vm: list(values) for vm, values in self._history.items()},
-            "primed": None if self._primed is None else dict(self._primed),
-        }
-
-    def restore(self, state: dict) -> None:
-        self._history = {vm: list(values) for vm, values in state["history"].items()}
-        self._primed = None if state["primed"] is None else dict(state["primed"])
-
-
 class ProposedApproach:
     """The paper's scheme: Fig-2 allocation + Eqn-4 frequency.
 
@@ -154,6 +95,13 @@ class ProposedApproach:
     reference behaviour) or fold per-window quantile marker states under
     ``horizon_mode="p2"`` — the approximate-but-gated O(N²W)-per-period
     path the QoS sweep opts into.
+
+    The approach is a thin adapter over
+    :class:`~repro.core.manager.PowerManager`, which runs the whole
+    UPDATE → ALLOCATE → Eqn-4 loop; its arguments become a
+    :class:`~repro.core.manager.ManagerConfig`, so the same validation
+    applies (``allocator="sharded"`` uses single-window costs and needs
+    ``horizon_periods=1``).
     """
 
     def __init__(
@@ -170,81 +118,30 @@ class ProposedApproach:
         allocator: str = "exact",
         sharding: ShardingConfig | None = None,
     ) -> None:
-        if allocator not in ("exact", "sharded"):
-            raise ValueError(f"allocator must be 'exact' or 'sharded', got {allocator!r}")
         self.name = "Proposed"
-        self._n_cores = n_cores
-        self._ladder = FrequencyLadder(freq_levels_ghz)
-        self._max_servers = max_servers
-        self._reference = reference or ReferenceSpec()
-        self._mode = allocator
-        # Either backend answers to the same lifecycle (reset_cache /
-        # snapshot / restore), so the audit and checkpoint layers — which
-        # duck-type the ``_allocator`` attribute — drive both unchanged.
-        if allocator == "sharded":
-            self._allocator = ShardedAllocator(allocation, sharding, self._reference)
-        else:
-            self._allocator = CorrelationAwareAllocator(allocation)
-        self._refs = _ReferenceHistory(
-            self._reference, predictor or LastValuePredictor(default_reference), default_reference
+        config = ManagerConfig(
+            n_cores=n_cores,
+            freq_levels_ghz=freq_levels_ghz,
+            reference=reference or ReferenceSpec(),
+            allocation=allocation or AllocationConfig(),
+            max_servers=max_servers,
+            default_reference=default_reference,
+            horizon_periods=horizon_periods,
+            horizon_mode=horizon_mode,
+            allocator=allocator,
+            sharding=sharding,
         )
-        self._horizon = RollingCostHorizon(self._reference, horizon_periods, horizon_mode)
-        # Fingerprint of the placed population: a swap to different VM
-        # names drops the allocator's cross-period reindex cache, whose
-        # O(N²) snapshot would otherwise pin a dead population in memory.
-        self._population: tuple[str, ...] | None = None
-        # Latest cost matrix, kept for the evacuation hook (the fault
-        # layer re-places VMs against the same period's correlations).
-        self._last_matrix = None
+        self._manager = PowerManager(config, predictor)
 
     def prime_oracle(self, true_references: dict[str, float]) -> None:
         """Inject the true upcoming references (oracle ablation mode)."""
-        self._refs.prime(true_references)
+        self._manager.prime(true_references)
 
     def decide(self, window: TraceSet) -> ApproachDecision:
-        predicted = self._refs.observe_and_predict(window)
-        if self._population != window.names:
-            if self._population is not None:
-                # Sharded mode: this drops every *per-shard* reindex
-                # cache, not just a global one — each would otherwise pin
-                # a dead population's O(n²) permuted matrix in memory.
-                self._allocator.reset_cache()
-            self._population = window.names
-        if self._mode == "sharded":
-            # Single-window costs: sharding re-derives its clusters from
-            # the current window each period, so the rolling horizon
-            # (whose fold produces a *dense* matrix) deliberately stays
-            # out of this path.
-            placement = self._allocator.allocate(
-                window, predicted, self._n_cores, self._max_servers
-            )
-            view = self._allocator.cost_view()
-            self._last_matrix = view
-            frequencies = {
-                server: correlation_aware_frequency(
-                    list(members), predicted, view.cost, self._ladder, self._n_cores
-                )
-                for server, members in placement.by_server().items()
-            }
-            return ApproachDecision(placement, frequencies, predicted)
-        matrix = self._horizon.push(window)
-        self._last_matrix = matrix
-        placement = self._allocator.allocate(
-            list(window.names),
-            predicted,
-            matrix.cost,
-            self._n_cores,
-            self._max_servers,
-            cost_array=matrix.as_array(),
-            name_index=matrix.name_index,
+        decision = self._manager.decide(window)
+        return ApproachDecision(
+            decision.placement, decision.frequencies, decision.predicted_references
         )
-        frequencies = {
-            server: correlation_aware_frequency(
-                list(members), predicted, matrix.cost, self._ladder, self._n_cores
-            )
-            for server, members in placement.by_server().items()
-        }
-        return ApproachDecision(placement, frequencies, predicted)
 
     def evacuate(
         self,
@@ -255,69 +152,26 @@ class ProposedApproach:
     ) -> Placement:
         """Incrementally re-place the failed servers' VMs.
 
-        The fault layer's hook (see :func:`repro.sim.faults.evacuate_fleet`):
-        delegates to the allocator's incremental
-        :meth:`~repro.core.allocation.CorrelationAwareAllocator.evacuate`
-        against the cost matrix of the latest :meth:`decide`, whose
-        reindex cache it reuses.
+        The fault layer's hook (see :func:`repro.sim.faults.evacuate_fleet`,
+        which sets the evacuees' frequencies itself): delegates to the
+        allocator's incremental ``evacuate`` against the cost matrix of
+        the latest :meth:`decide`, whose reindex cache it reuses.
         """
-        matrix = self._last_matrix
-        if matrix is None:
-            raise RuntimeError("evacuate() requires a prior decide()")
-        if self._mode == "sharded":
-            # The sharded path prices evacuees through its cost view and
-            # invalidates the reindex cache of every shard the evacuation
-            # touches (failed or receiving) — see ShardedAllocator.
-            return self._allocator.evacuate(
-                placement, failed_servers, references, self._n_cores, num_servers
-            )
-        return self._allocator.evacuate(
-            placement,
-            failed_servers,
-            references,
-            self._n_cores,
-            num_servers,
-            cost_array=matrix.as_array(),
-            name_index=matrix.name_index,
+        manager = self._manager
+        return manager._allocator.evacuate(
+            placement, failed_servers, references, manager.config.n_cores, num_servers
         )
 
     def reset(self) -> None:
-        self._refs.reset()
-        self._allocator.reset_cache()
-        self._horizon.reset()
-        self._population = None
-        self._last_matrix = None
+        self._manager.reset()
 
     def snapshot(self) -> dict:
-        """Serializable copy of all cross-period state (for checkpoints).
-
-        ``_last_matrix`` is an immutable :class:`CostMatrix` (read-only
-        backing array), so holding a reference rather than a deep copy
-        is safe.  In sharded mode it is a view over the allocator's own
-        plan, so it is *not* serialized — :meth:`restore` re-derives it,
-        keeping the snapshot canonical (byte-identical round trips).
-        """
-        return {
-            "refs": self._refs.snapshot(),
-            "horizon": self._horizon.snapshot(),
-            "allocator": self._allocator.snapshot(),
-            "population": self._population,
-            "last_matrix": None if self._mode == "sharded" else self._last_matrix,
-        }
+        """Serializable copy of all cross-period state (for checkpoints)."""
+        return self._manager.snapshot()
 
     def restore(self, state: dict) -> None:
         """Reinstall a :meth:`snapshot` taken from an identical config."""
-        self._refs.restore(state["refs"])
-        self._horizon.restore(state["horizon"])
-        self._allocator.restore(state["allocator"])
-        self._population = state["population"]
-        if self._mode == "sharded":
-            allocator = self._allocator
-            self._last_matrix = (
-                allocator.cost_view() if allocator.last_num_shards else None
-            )
-        else:
-            self._last_matrix = state["last_matrix"]
+        self._manager.restore(state)
 
 
 class _PackingApproach:
@@ -340,7 +194,7 @@ class _PackingApproach:
         self._ladder = FrequencyLadder(freq_levels_ghz)
         self._max_servers = max_servers
         self._reference = reference or ReferenceSpec()
-        self._refs = _ReferenceHistory(
+        self._refs = ReferenceHistory(
             self._reference, predictor or LastValuePredictor(default_reference), default_reference
         )
 
@@ -349,7 +203,8 @@ class _PackingApproach:
         self._refs.prime(true_references)
 
     def decide(self, window: TraceSet) -> ApproachDecision:
-        predicted = self._refs.observe_and_predict(window)
+        self._refs.observe(window)
+        predicted = self._refs.predict(window.names)
         placement = self._packer(
             list(window.names), predicted, self._n_cores, self._max_servers
         )
@@ -409,10 +264,10 @@ class PcpApproach:
         self._pcp = pcp or PcpConfig()
         offpeak_spec = ReferenceSpec(self._pcp.offpeak_percentile)
         peak_spec = ReferenceSpec(100.0)
-        self._offpeak_refs = _ReferenceHistory(
+        self._offpeak_refs = ReferenceHistory(
             offpeak_spec, predictor or LastValuePredictor(default_reference), default_reference
         )
-        self._peak_refs = _ReferenceHistory(
+        self._peak_refs = ReferenceHistory(
             peak_spec, peak_predictor or LastValuePredictor(default_reference), default_reference
         )
 
@@ -425,8 +280,10 @@ class PcpApproach:
         self._peak_refs.prime(true_references)
 
     def decide(self, window: TraceSet) -> ApproachDecision:
-        offpeak = self._offpeak_refs.observe_and_predict(window)
-        peak = self._peak_refs.observe_and_predict(window)
+        self._offpeak_refs.observe(window)
+        self._peak_refs.observe(window)
+        offpeak = self._offpeak_refs.predict(window.names)
+        peak = self._peak_refs.predict(window.names)
         result = peak_clustering_placement(
             window, offpeak, peak, self._n_cores, self._pcp, self._max_servers
         )

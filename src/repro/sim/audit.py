@@ -77,10 +77,22 @@ class AuditEvent:
 _REBUILDABLE = frozenset({"cost_matrix", "p2_markers"})
 
 
+def _scanned(approach):
+    """The approach, plus the manager and allocator backend it wraps
+    (where the rolling horizon and the latest cost matrix live)."""
+    manager = getattr(approach, "_manager", None)
+    allocator = getattr(manager, "_allocator", None)
+    return [obj for obj in (approach, manager, allocator) if hasattr(obj, "__dict__")]
+
+
+def _iter_attrs(approach):
+    for obj in _scanned(approach):
+        yield from vars(obj).values()
+
+
 def _iter_p2_estimators(approach):
     """Duck-typed scan of an approach for live P² estimators."""
-    attrs = vars(approach) if hasattr(approach, "__dict__") else {}
-    for value in attrs.values():
+    for value in _iter_attrs(approach):
         if isinstance(value, BatchPSquare):
             yield value
         elif isinstance(value, StreamingCostMatrix):
@@ -90,8 +102,7 @@ def _iter_p2_estimators(approach):
 
 
 def _iter_horizons(approach):
-    attrs = vars(approach) if hasattr(approach, "__dict__") else {}
-    for value in attrs.values():
+    for value in _iter_attrs(approach):
         if isinstance(value, RollingCostHorizon):
             yield value
 
@@ -165,13 +176,14 @@ def audit_replay_state(
     if negative:
         findings.append(("counters", f"negative accounting: {', '.join(negative)}"))
 
-    matrix = getattr(approach, "_last_matrix", None)
-    if matrix is not None and hasattr(matrix, "as_array"):
-        dense = matrix.as_array()
-        if not np.all(np.isfinite(dense)):
-            findings.append(("cost_matrix", "non-finite cost-matrix entries"))
-        elif not np.array_equal(dense, dense.T):
-            findings.append(("cost_matrix", "cost matrix is not symmetric"))
+    for obj in _scanned(approach):
+        matrix = getattr(obj, "_last_matrix", None)
+        if hasattr(matrix, "as_array"):
+            dense = matrix.as_array()
+            if not np.all(np.isfinite(dense)):
+                findings.append(("cost_matrix", "non-finite cost-matrix entries"))
+            elif not np.array_equal(dense, dense.T):
+                findings.append(("cost_matrix", "cost matrix is not symmetric"))
 
     for estimator in _iter_p2_estimators(approach):
         try:
@@ -210,20 +222,20 @@ def _rebuild_component(approach, check: str) -> bool:
     for a few periods, never wrong.
     """
     rebuilt = False
-    horizon = getattr(approach, "_horizon", None)
-    if horizon is not None and hasattr(horizon, "reset"):
-        horizon.reset()
-        rebuilt = True
-    allocator = getattr(approach, "_allocator", None)
-    if allocator is not None and hasattr(allocator, "reset_cache"):
-        allocator.reset_cache()
-        rebuilt = True
-    if getattr(approach, "_last_matrix", None) is not None:
-        approach._last_matrix = None
-        rebuilt = True
+    for obj in _scanned(approach):
+        horizon = getattr(obj, "_horizon", None)
+        if horizon is not None and hasattr(horizon, "reset"):
+            horizon.reset()
+            rebuilt = True
+        allocator = getattr(obj, "_allocator", None)
+        if allocator is not None and hasattr(allocator, "reset_cache"):
+            allocator.reset_cache()
+            rebuilt = True
+        if getattr(obj, "_last_matrix", None) is not None:
+            obj._last_matrix = None
+            rebuilt = True
     if check == "p2_markers":
-        attrs = vars(approach) if hasattr(approach, "__dict__") else {}
-        for value in attrs.values():
+        for value in _iter_attrs(approach):
             if isinstance(value, (BatchPSquare, StreamingCostMatrix)):
                 value.reset()
                 rebuilt = True

@@ -371,9 +371,10 @@ class ChurnEngine:
         when no usable checkpoint exists (cold start).  Checkpoints
         whose identity fingerprint does not match this run are refused
         — resuming a different event stream or config would silently
-        diverge.  A checkpoint whose sections no longer unpickle (state
-        written by code that has since changed shape) is reported as a
-        ``RuntimeWarning`` and treated as absent.  Restored state is
+        diverge.  A checkpoint whose sections no longer unpickle, or
+        whose state ``restore`` rejects (state written by code that has
+        since changed shape), is reported as a ``RuntimeWarning`` and
+        treated as absent.  Restored state is
         re-shared against the master trace's name strings so the resumed
         run re-snapshots byte-identically to an uninterrupted one.
         """
@@ -400,11 +401,24 @@ class ChurnEngine:
             )
             return None
         table = dict(zip(self._traces.names, self._traces.names, strict=True))
-        manager_state = _canonicalize(manager_state, table)
-        engine_state = _canonicalize(engine_state, table)
-        self._manager.restore(manager_state)
-        self._active = list(engine_state["active"])
-        self._cursor = int(engine_state["cursor"])
-        self._next_period = int(engine_state["next_period"])
-        self._records = list(engine_state["records"])
+        try:
+            self._manager.restore(_canonicalize(manager_state, table))
+            engine_state = _canonicalize(engine_state, table)
+            active = list(engine_state["active"])
+            cursor = int(engine_state["cursor"])
+            next_period = int(engine_state["next_period"])
+            records = list(engine_state["records"])
+        except (KeyError, ValueError, TypeError) as error:
+            warnings.warn(
+                f"checkpoint {path} state rejected ({error}); cold-starting",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            # The restore may have half-applied before it failed.
+            self._manager.reset()
+            return None
+        self._active = active
+        self._cursor = cursor
+        self._next_period = next_period
+        self._records = records
         return self._next_period

@@ -431,11 +431,15 @@ class TestComponentRoundTrips:
         assert dict(ea.assignment) == dict(eb.assignment)
 
     def test_sharded_proposed_approach(self):
-        approach = _proposed(allocator="sharded", sharding=ShardingConfig(num_shards=2))
+        approach = _proposed(
+            allocator="sharded", sharding=ShardingConfig(num_shards=2), horizon_periods=1
+        )
         for seed in range(2):
             approach.decide(self._sharded_window(seed, num_vms=12))
         state = pickle.loads(pickle.dumps(approach.snapshot()))
-        twin = _proposed(allocator="sharded", sharding=ShardingConfig(num_shards=2))
+        twin = _proposed(
+            allocator="sharded", sharding=ShardingConfig(num_shards=2), horizon_periods=1
+        )
         twin.restore(state)
         for seed in range(2, 4):
             window = self._sharded_window(seed, num_vms=12)
@@ -822,7 +826,7 @@ class TestAuditor:
 
     def test_live_horizon_marker_corruption(self):
         approach = self._live_proposed(reference=ReferenceSpec(90.0), horizon_mode="p2")
-        horizon = approach._horizon
+        horizon = approach._manager._allocator._horizon
         assert len(horizon._marker_parts) == 3
         state = self._healthy_state()
         state["approach"] = approach
@@ -847,7 +851,7 @@ class TestAuditor:
         state["approach"] = approach
         assert audit.audit_replay_state(**state) == []
 
-        dense = approach._last_matrix.as_array()
+        dense = approach._manager._allocator._last_matrix.as_array()
         dense.flags.writeable = True
         dense[0, 1] += 0.25
         findings = audit.audit_replay_state(**state)
@@ -855,7 +859,7 @@ class TestAuditor:
 
         events = audit.apply_policy(findings, "degrade", approach, 3)
         assert [event.action for event in events] == ["rebuilt"]
-        assert approach._last_matrix is None
+        assert approach._manager._allocator._last_matrix is None
 
     def test_apply_policy_raise(self):
         with pytest.raises(audit.AuditError, match="cost_matrix"):

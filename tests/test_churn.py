@@ -224,6 +224,32 @@ class TestKillMidChurn:
             assert revived.resume_latest() is None
         assert revived.next_period == 0
 
+    def test_rejected_checkpoint_state_warns_and_cold_starts(self, tmp_path, monkeypatch):
+        """A checkpoint that unpickles but whose manager snapshot lacks a
+        key (a layout written by older code) is treated as absent."""
+        traces = _traces(num_vms=8)
+        events = self._events(traces)
+        policy = CheckpointPolicy(tmp_path / "ck", every_periods=2)
+        engine = _engine(traces, events, checkpoint=policy)
+        snapshot = engine.manager.snapshot
+
+        def without_allocator():
+            state = snapshot()
+            del state["allocator"]
+            return state
+
+        monkeypatch.setattr(engine.manager, "snapshot", without_allocator)
+        engine.run(4)
+
+        revived = _engine(traces, events, checkpoint=policy)
+        with pytest.warns(RuntimeWarning, match=r"\.ckpt state rejected .*allocator"):
+            assert revived.resume_latest() is None
+        assert revived.next_period == 0
+        # The restore applied the histories before it failed; the reset
+        # keeps them from tripping admit() on the cold-started run.
+        records = revived.run(self.PERIODS)
+        assert [record.period for record in records] == list(range(self.PERIODS))
+
     def test_resume_without_checkpoint_is_cold_start(self, tmp_path):
         traces = _traces(num_vms=8)
         events = self._events(traces)

@@ -179,3 +179,14 @@ class TestPearsonCostMatrix:
         k = four_vm_traces.index_of("a2")
         assert matrix[i, j] < -0.9
         assert matrix[i, k] > 0.9
+
+    @pytest.mark.parametrize("num_vms", [3, 40, 300])
+    def test_exactly_symmetric(self, num_vms):
+        """``corrcoef`` alone leaves last-bit asymmetries; the audited
+        cost-matrix invariant requires exact symmetry."""
+        rng = np.random.default_rng(num_vms)
+        for _ in range(5):
+            names = tuple(f"vm{i}" for i in range(num_vms))
+            window = TraceSet.from_matrix(rng.uniform(0.0, 4.0, (num_vms, 60)), names, 5.0)
+            matrix = pearson_cost_matrix(window)
+            assert np.array_equal(matrix, matrix.T)

@@ -259,3 +259,40 @@ class TestPearsonAblation:
             assert decision.placement.num_servers == expected.num_servers
             assert decision.frequencies == frequencies
             assert decision.predicted_references == refs
+
+    @staticmethod
+    def _replay(replay_config):
+        from repro.experiments.ablations import PearsonProposedApproach
+        from repro.experiments.setup2 import Setup2Config, build_fine_traces
+        from repro.sim.engine import replay
+
+        config = Setup2Config().fast_variant()
+        approach = PearsonProposedApproach(
+            config.spec.n_cores,
+            config.spec.freq_levels_ghz,
+            max_servers=config.num_servers,
+            default_reference=config.traces.vm_core_cap,
+        )
+        return replay(
+            build_fine_traces(config), config.spec, config.num_servers, approach, replay_config
+        )
+
+    def test_evacuates_under_faults(self):
+        """Evacuation re-places against the Pearson matrix of the latest decide."""
+        from repro.sim.engine import ReplayConfig
+        from repro.sim.faults import FaultConfig
+
+        result = self._replay(
+            ReplayConfig(tperiod_s=3600.0, faults=FaultConfig(seed=1, crash_rate=0.2))
+        )
+        assert result.faults.evacuations > 0
+
+    def test_audited_replay_finds_nothing(self, tmp_path):
+        """The Pearson matrix is the live cost matrix, so the auditor's
+        exact-symmetry check runs on it at every checkpoint."""
+        from repro.sim.checkpoint import CheckpointPolicy
+        from repro.sim.engine import ReplayConfig
+
+        policy = CheckpointPolicy(path=tmp_path, every_periods=1, on_violation="raise")
+        result = self._replay(ReplayConfig(tperiod_s=3600.0, checkpoint=policy))
+        assert result.audit_events == ()

@@ -437,6 +437,7 @@ class TestShardedEvacuate:
             ProposedApproach,
             allocator="sharded",
             sharding=ShardingConfig(num_shards=2),
+            horizon_periods=1,
         )
         result = _fault_replay(traces, FaultConfig(seed=3, crash_rate=0.2), sharded)
         assert result.faults.evacuations > 0
@@ -447,6 +448,7 @@ class TestShardedEvacuate:
             ProposedApproach,
             allocator="sharded",
             sharding=ShardingConfig(num_shards=2),
+            horizon_periods=1,
         )
         base = _fault_replay(traces, None, sharded)
         zero = _fault_replay(

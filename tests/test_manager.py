@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.manager import ManagerConfig, PowerManager
 from repro.prediction.predictors import EwmaPredictor, LastValuePredictor
+from repro.sim.approaches import ProposedApproach
 from repro.traces.trace import TraceSet
 
 
@@ -31,6 +32,11 @@ class TestManagerConfig:
             )
         ManagerConfig(n_cores=8, freq_levels_ghz=(2.0,), allocator="sharded", horizon_periods=1)
         ManagerConfig(n_cores=8, freq_levels_ghz=(2.0,), allocator="exact", horizon_periods=3)
+        # ProposedApproach defaults to a 3-window horizon; the sharded
+        # opt-in must say horizon_periods=1 rather than have it ignored.
+        with pytest.raises(ValueError, match="horizon_periods=1"):
+            ProposedApproach(8, (2.0,), allocator="sharded")
+        ProposedApproach(8, (2.0,), allocator="sharded", horizon_periods=1)
 
 
 class TestObservePredict:
@@ -53,7 +59,7 @@ class TestObservePredict:
         assert {vm: len(values) for vm, values in manager.history.items()} == {
             vm: 1 for vm in four_vm_traces.names
         }
-        assert len(manager.snapshot()["history"]["a1"]) == 1
+        assert len(manager.snapshot()["refs"]["history"]["a1"]) == 1
 
     def test_predict_uses_default_without_history(self, config):
         manager = PowerManager(config)

@@ -324,11 +324,11 @@ class TestAllocatorDeltas:
         manager = self._manager()
         names = tuple(f"v{i}" for i in range(10))
         manager.decide(TraceSet.from_matrix(_window(rng, 10), names, PERIOD_S))
-        assert manager._allocator._reindex_cache is not None
+        assert manager._allocator._allocator._reindex_cache is not None
         manager.admit(["new"])
-        assert manager._allocator._reindex_cache is not None
+        assert manager._allocator._allocator._reindex_cache is not None
         manager.retire("v3")
-        assert manager._allocator._reindex_cache is None
+        assert manager._allocator._allocator._reindex_cache is None
 
     def test_departure_does_not_reset_sibling_shards(self):
         rng = np.random.default_rng(14)
@@ -418,7 +418,7 @@ class TestStaticBitIdentity:
         batch_decisions, batch_state = self._run(allocator, via_admit=False)
         admit_decisions, admit_state = self._run(allocator, via_admit=True)
         assert admit_decisions == batch_decisions
-        for key in ("history", "allocator", "horizon"):
+        for key in ("refs", "allocator"):
             assert pickle.dumps(admit_state[key]) == pickle.dumps(batch_state[key])
         # The members registry is the only membership-path addition.
         assert "members" not in batch_state
@@ -429,5 +429,5 @@ class TestStaticBitIdentity:
         batch_decisions, batch_state = self._run("exact", False, spec)
         admit_decisions, admit_state = self._run("exact", True, spec)
         assert admit_decisions == batch_decisions
-        for key in ("history", "allocator", "horizon"):
+        for key in ("refs", "allocator"):
             assert pickle.dumps(admit_state[key]) == pickle.dumps(batch_state[key])

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.infrastructure.server import XEON_E5410
+from repro.prediction.predictors import EwmaPredictor
 from repro.sim.approaches import BfdApproach, PcpApproach, ProposedApproach
 from repro.sim.engine import ReplayConfig, replay
 from repro.sim.metrics import (
@@ -221,3 +224,38 @@ class TestPcpApproachIntegration:
         result = replay(traces, XEON_E5410, 4, approach, ReplayConfig(tperiod_s=300.0))
         for info in result.info_per_period:
             assert info["num_clusters"] >= 1
+
+
+class TestBadWindows:
+    """A NaN window reaches every approach's one history keeper, which
+    rejects it before any append: a stored NaN would make a full-history
+    predictor (EWMA) raise on every later decide, clean windows included."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda ewma: BfdApproach(8, (2.0, 2.3), predictor=ewma, default_reference=4.0),
+            lambda ewma: PcpApproach(
+                8, (2.0, 2.3), predictor=ewma, peak_predictor=ewma, default_reference=4.0
+            ),
+            lambda ewma: ProposedApproach(8, (2.0, 2.3), predictor=ewma, default_reference=4.0),
+        ],
+        ids=["BFD", "PCP", "Proposed"],
+    )
+    def test_nan_window_is_rejected_and_history_kept(self, make):
+        approach = make(EwmaPredictor(default=4.0))
+        traces = periodic_traces(num_periods=3)
+        clean = [traces.slice(p * 60, (p + 1) * 60) for p in range(3)]
+        approach.decide(clean[0])
+        before = pickle.dumps(approach.snapshot())
+
+        matrix = clean[1].matrix.copy()
+        matrix[1, 7] = np.nan
+        matrix.flags.writeable = False  # trusted as is: from_matrix skips its check
+        poisoned = TraceSet.from_matrix(matrix, clean[1].names, clean[1].period_s)
+        with pytest.raises(ValueError, match=r"references observed for: \['b'\]"):
+            approach.decide(poisoned)
+        assert pickle.dumps(approach.snapshot()) == before
+
+        decision = approach.decide(clean[2])
+        assert set(decision.placement.assignment) == {"a", "b"}
