@@ -9,12 +9,14 @@ auditor's three failure modes.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,7 @@ from repro.sim.checkpoint import (
     prune_checkpoints,
     save_checkpoint,
 )
+from repro.sim.churn import ChurnEngine, synthesize_churn_events
 from repro.sim.engine import ReplayConfig, replay
 from repro.sim.faults import FaultConfig
 from repro.sim.metrics import FrequencyResidency
@@ -642,6 +645,65 @@ class TestReplayResume:
         config = _checkpointed_config(tmp_path, every=1, keep=2)
         replay(traces, SPEC, 6, _bfd(), config)
         assert len(list_checkpoints(tmp_path)) == 2
+
+
+def _recipe(*identity) -> str:
+    """The run-fingerprint recipe every existing checkpoint was bound with:
+    SHA-256 over the pickled ``(layout, *identity)`` tuple."""
+    blob = pickle.dumps((CHECKPOINT_LAYOUT, *identity), protocol=pickle.HIGHEST_PROTOCOL)
+    return hashlib.sha256(blob).hexdigest()
+
+
+class TestFingerprintRecipes:
+    """Checkpoints already on disk resume only while these hashes hold."""
+
+    @pytest.mark.parametrize("faults", [None, _FAULTS], ids=["plain", "faults"])
+    @pytest.mark.parametrize("allocator", ["exact", "sharded"])
+    def test_replay_fingerprint(self, tmp_path, allocator, faults):
+        from repro.sim.engine import _replay_fingerprint
+
+        traces = _traces()
+        approach = (
+            _proposed(allocator="sharded", sharding=ShardingConfig(num_shards=2), horizon_periods=1)
+            if allocator == "sharded"
+            else _proposed()
+        )
+        config = _checkpointed_config(tmp_path, faults=faults)
+        want = _recipe(
+            replace(config, checkpoint=None),
+            SPEC,
+            6,
+            traces.names,
+            tuple(traces.matrix.shape),
+            float(traces.period_s),
+            float(traces.matrix.sum()),
+            type(approach).__qualname__,
+            str(approach.name),
+        )
+        assert _replay_fingerprint(traces, SPEC, 6, approach, config) == want
+
+    @pytest.mark.parametrize("allocator", ["exact", "sharded"])
+    def test_churn_fingerprint(self, allocator):
+        traces = _traces(num_vms=8)
+        events = synthesize_churn_events(traces.names, periods=4, period_duration_s=60.0, seed=5)
+        config = ManagerConfig(
+            n_cores=8,
+            freq_levels_ghz=(1.2, 1.8, 2.4),
+            allocator=allocator,
+            sharding=ShardingConfig(target_shard_vms=4) if allocator == "sharded" else None,
+        )
+        engine = ChurnEngine(PowerManager(config), traces, events, samples_per_period=12)
+        want = _recipe(
+            "churn-v1",
+            events,
+            traces.names,
+            tuple(traces.matrix.shape),
+            float(traces.period_s),
+            float(traces.matrix.sum()),
+            12,
+            config,
+        )
+        assert engine.fingerprint() == want
 
 
 class TestSubprocessCrashRecovery:
