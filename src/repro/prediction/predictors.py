@@ -117,13 +117,22 @@ class ReferenceHistory:
         would make a full-history predictor (EWMA) raise on every later
         period, clean windows included.
         """
+        observed = self.check(window)
+        self.record(observed)
+        return observed
+
+    def check(self, window: TraceSet) -> dict[str, float]:
+        """Each VM's observed reference, validated but not yet recorded."""
         observed = window.references(self._spec)
         bad = [vm for vm, value in observed.items() if not math.isfinite(value) or value < 0.0]
         if bad:
             raise ValueError(f"non-finite or negative references observed for: {bad}")
+        return observed
+
+    def record(self, observed: Mapping[str, float]) -> None:
+        """Append references that passed :meth:`check`."""
         for vm, value in observed.items():
             append_bounded(self._history.setdefault(vm, []), value, self._bound)
-        return observed
 
     def predict(self, vm_ids: Sequence[str]) -> dict[str, float]:
         """Predicted next-period reference per VM (primed value first;

@@ -280,8 +280,11 @@ class PcpApproach:
         self._peak_refs.prime(true_references)
 
     def decide(self, window: TraceSet) -> ApproachDecision:
-        self._offpeak_refs.observe(window)
+        # Both references are checked before either keeper appends, so a
+        # window that spoils only one of them is recorded by neither.
+        offpeak_observed = self._offpeak_refs.check(window)
         self._peak_refs.observe(window)
+        self._offpeak_refs.record(offpeak_observed)
         offpeak = self._offpeak_refs.predict(window.names)
         peak = self._peak_refs.predict(window.names)
         result = peak_clustering_placement(

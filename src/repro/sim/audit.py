@@ -1,9 +1,13 @@
-"""Runtime invariant auditor for :func:`repro.sim.engine.replay`.
+"""Runtime invariant auditor for the replay and churn loops.
 
-Cheap, vectorized self-checks over the live replay state, run at every
+Cheap, vectorized self-checks over live loop state, run at every
 checkpoint boundary (``CheckpointPolicy(audit=True)``) right before the
-checkpoint is written — a corrupted accumulator must never be persisted
-as if it were healthy.  The checks:
+checkpoint is written — corrupted state must never be persisted as if
+it were healthy.  :func:`repro.sim.engine.replay` runs every check
+(:func:`audit_replay_state`); :class:`repro.sim.churn.ChurnEngine`
+(behind ``repro serve``) has no accounting, so it runs only the
+decision-maker state checks, ``cost_matrix`` and ``p2_markers``
+(:func:`audit_decider_state`).  The checks:
 
 * **residency** — per-server frequency-residency bincounts (active
   levels + inactive) must account for exactly ``period *
@@ -14,7 +18,7 @@ as if it were healthy.  The checks:
   monotone non-decreasing across checkpoint boundaries;
 * **counters** — committed accounting (migrations, evacuations,
   unserved demand, unplaced VM-periods) non-negative;
-* **cost_matrix** — the approach's last cost matrix finite and exactly
+* **cost_matrix** — the decision-maker's last cost matrix finite and exactly
   symmetric (it is symmetric by construction, so any asymmetry is
   memory corruption, not roundoff);
 * **p2_markers** — every reachable P² marker state (standalone
@@ -22,12 +26,13 @@ as if it were healthy.  The checks:
   cost-matrix estimators, rolling-horizon marker parts) monotone per
   stream (:func:`~repro.analysis.stats.validate_p2_markers`).
 
-``on_violation`` selects the failure mode: ``"raise"`` aborts the replay
+``on_violation`` selects the failure mode: ``"raise"`` aborts the loop
 with :class:`AuditError`; ``"warn"`` emits a ``RuntimeWarning`` per
 finding and records it; ``"degrade"`` rebuilds the corrupted component
 where one is rebuildable (streaming estimators and caches are derived
 state — resetting them costs accuracy for a few periods, never
-correctness) and records what happened in ``ReplayResult.audit_events``.
+correctness) and records what happened.  Events land in
+``ReplayResult.audit_events`` or ``ChurnEngine.audit_events``.
 """
 
 from __future__ import annotations
@@ -41,15 +46,12 @@ from repro.analysis.stats import BatchPSquare, validate_p2_markers
 from repro.core.correlation import RollingCostHorizon, StreamingCostMatrix
 
 __all__ = [
-    "ON_VIOLATION_MODES",
     "AuditError",
     "AuditEvent",
     "apply_policy",
+    "audit_decider_state",
     "audit_replay_state",
 ]
-
-#: Accepted ``CheckpointPolicy.on_violation`` modes.
-ON_VIOLATION_MODES = ("raise", "warn", "degrade")
 
 
 class AuditError(RuntimeError):
@@ -58,7 +60,8 @@ class AuditError(RuntimeError):
 
 @dataclass(frozen=True)
 class AuditEvent:
-    """One recorded invariant violation (lands in ``ReplayResult``).
+    """One recorded invariant violation (lands in ``ReplayResult`` or
+    ``ChurnEngine.audit_events``).
 
     ``action`` is what the auditor did about it: ``"warned"`` (warn
     mode), ``"rebuilt"`` (degrade mode, corrupted component reset) or
@@ -78,10 +81,11 @@ _REBUILDABLE = frozenset({"cost_matrix", "p2_markers"})
 
 
 def _scanned(approach):
-    """The approach, plus the manager and allocator backend it wraps
-    (where the rolling horizon and the latest cost matrix live)."""
+    """The decision-maker, the manager it wraps and that manager's
+    allocator backend (where the rolling horizon and the latest cost
+    matrix live); a bare ``PowerManager`` is its own manager."""
     manager = getattr(approach, "_manager", None)
-    allocator = getattr(manager, "_allocator", None)
+    allocator = getattr(approach if manager is None else manager, "_allocator", None)
     return [obj for obj in (approach, manager, allocator) if hasattr(obj, "__dict__")]
 
 
@@ -176,6 +180,14 @@ def audit_replay_state(
     if negative:
         findings.append(("counters", f"negative accounting: {', '.join(negative)}"))
 
+    findings.extend(audit_decider_state(approach))
+    return findings
+
+
+def audit_decider_state(approach) -> list[tuple[str, str]]:
+    """The ``cost_matrix`` and ``p2_markers`` checks over an approach or
+    a ``PowerManager``; pure inspection, like :func:`audit_replay_state`."""
+    findings: list[tuple[str, str]] = []
     for obj in _scanned(approach):
         matrix = getattr(obj, "_last_matrix", None)
         if hasattr(matrix, "as_array"):
@@ -248,12 +260,12 @@ def apply_policy(
     approach,
     period: int,
 ) -> tuple[AuditEvent, ...]:
-    """Act on :func:`audit_replay_state` findings per ``on_violation``."""
+    """Act on audit findings per ``on_violation``."""
     if not findings:
         return ()
     if on_violation == "raise":
         raise AuditError(
-            f"replay audit failed at period {period}: "
+            f"audit failed at period {period}: "
             + "; ".join(f"{check}: {detail}" for check, detail in findings)
         )
     events = []
@@ -265,7 +277,7 @@ def apply_policy(
                 action = "recorded"
         else:
             warnings.warn(
-                f"replay audit: {check} violated at period {period}: {detail}",
+                f"audit: {check} violated at period {period}: {detail}",
                 RuntimeWarning,
                 stacklevel=2,
             )

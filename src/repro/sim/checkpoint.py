@@ -1,12 +1,17 @@
-"""Crash-safe checkpoint files for mid-replay state (``checkpoint_layout="v1"``).
+"""Crash-safe checkpoints for the long-lived loops (``checkpoint_layout="v1"``).
 
-:func:`repro.sim.engine.replay` can periodically serialize its *complete*
+:func:`repro.sim.engine.replay` and :class:`repro.sim.churn.ChurnEngine`
+(behind ``repro serve``) periodically serialize their *complete*
 mid-stream state — accumulator partials, streaming estimators, allocator
-caches, RNG bit-generator states — so a killed replay resumes from the
-last checkpoint **byte-identically** to an uninterrupted run.  This
-module owns the file format and the durability contract; the engine owns
-*what* goes into a checkpoint (see ``sim/engine.py``) and the auditor
-(``sim/audit.py``) validates the state right before each write.
+caches, RNG bit-generator states — so a killed run resumes from the last
+checkpoint **byte-identically** to an uninterrupted one.  This module
+owns the file format, the durability contract and the lifecycle both
+loops share: the run fingerprint (:func:`run_fingerprint`), the
+save-and-prune of the ``{"engine", "approach"}`` sections
+(:func:`save_run_state`) and the resume routine
+(:func:`resume_run_state`, which re-shares restored strings through
+:func:`_canonicalize`).  Each engine owns *what* goes into its "engine"
+section and runs the auditor (``sim/audit.py``) right before each write.
 
 File format (``checkpoint_layout="v1"``)::
 
@@ -29,15 +34,21 @@ corruption is *detected and reported*, never silently resumed from.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import struct
+import sys
 import warnings
 import zlib
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.core.placement import Placement
 
 __all__ = [
     "CHECKPOINT_LAYOUT",
@@ -49,7 +60,10 @@ __all__ = [
     "load_checkpoint",
     "load_latest_checkpoint",
     "prune_checkpoints",
+    "resume_run_state",
+    "run_fingerprint",
     "save_checkpoint",
+    "save_run_state",
 ]
 
 #: Schema version stamped into (and required of) every checkpoint header.
@@ -83,13 +97,14 @@ def _require_positive_int(value, name: str, minimum: int = 1) -> int:
 
 @dataclass(frozen=True)
 class CheckpointPolicy:
-    """When and where :func:`repro.sim.engine.replay` writes checkpoints.
+    """When and where a replay or churn loop writes checkpoints.
 
     ``every_periods`` is the emission cadence (a checkpoint lands after
     every K-th completed placement period); ``keep`` bounds the number of
     files retained in ``path`` (older ones are pruned so resume always
     has a fallback if the newest file is corrupt); ``audit`` runs the
-    :mod:`repro.sim.audit` invariant checks right before each write, with
+    :mod:`repro.sim.audit` invariant checks right before each write (all
+    of them in replay, the decision-maker state checks in churn), with
     ``on_violation`` selecting the auditor's failure mode.
     """
 
@@ -288,3 +303,142 @@ def load_latest_checkpoint(
                 stacklevel=2,
             )
     return None
+
+
+def run_fingerprint(*identity) -> str:
+    """Identity hash binding checkpoints to one run: SHA-256 over the
+    pickled ``(CHECKPOINT_LAYOUT, *identity)``, where ``identity`` is
+    everything the caller's trajectory depends on."""
+    blob = pickle.dumps((CHECKPOINT_LAYOUT, *identity), protocol=pickle.HIGHEST_PROTOCOL)
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _canonicalize(state, names: Sequence[str]):
+    """Re-share the string objects of an unpickled checkpoint section.
+
+    The byte-identity contract compares results and snapshots with
+    ``pickle.dumps``, whose output depends on object *identity* sharing
+    (the pickler memoizes repeated objects).  A live run references the
+    trace set's own name strings and interned literal keys; an unpickled
+    checkpoint carries equal-valued private copies.  Rewriting the
+    restored containers against the canonical ``names`` objects (and
+    ``sys.intern`` for other strings) makes a resumed run share strings
+    exactly like an uninterrupted one.  Within one call, each unpickled
+    :class:`Placement` becomes one rebuilt object, however often it is
+    referenced.
+    """
+    table = dict(zip(names, names, strict=True))
+    rebuilt: dict[int, Placement] = {}
+
+    def canon(obj):
+        if isinstance(obj, str):
+            canonical = table.get(obj)
+            return canonical if canonical is not None else sys.intern(obj)
+        if isinstance(obj, Placement):
+            cached = rebuilt.get(id(obj))
+            if cached is None:
+                cached = Placement(
+                    {canon(vm): server for vm, server in obj.assignment.items()},
+                    obj.num_servers,
+                )
+                rebuilt[id(obj)] = cached
+            return cached
+        if isinstance(obj, dict):
+            return {canon(key): canon(value) for key, value in obj.items()}
+        if isinstance(obj, list):
+            return [canon(item) for item in obj]
+        if isinstance(obj, tuple):
+            return tuple(canon(item) for item in obj)
+        return obj
+
+    return canon(state)
+
+
+def _identity(decider) -> tuple[str, str]:
+    return type(decider).__qualname__, str(getattr(decider, "name", ""))
+
+
+def _decider_payload(decider) -> dict:
+    """The "approach" section.  Objects with ``snapshot()``/``restore()``
+    (every built-in approach, ``PowerManager``) store their snapshot;
+    anything else is pickled whole, which also carries the RNG state of
+    custom stochastic approaches."""
+    cls, name = _identity(decider)
+    if hasattr(decider, "snapshot") and hasattr(decider, "restore"):
+        return {"class": cls, "name": name, "kind": "snapshot", "state": decider.snapshot()}
+    return {"class": cls, "name": name, "kind": "object", "object": decider}
+
+
+def _restored_decider(decider, payload: dict):
+    if (payload["class"], payload["name"]) != _identity(decider):
+        raise ValueError(
+            f"checkpoint holds {payload['class']}/{payload['name']}, "
+            f"resume was asked for {type(decider).__qualname__}"
+        )
+    if payload["kind"] == "snapshot":
+        decider.restore(payload["state"])
+        return decider
+    return payload["object"]
+
+
+def save_run_state(
+    policy: CheckpointPolicy, period: int, fingerprint: str, meta: dict, state: dict, decider
+) -> Path:
+    """Write the checkpoint taken after ``period`` — ``meta`` plus the
+    ``fingerprint``, the loop's own ``state`` as the "engine" section and
+    the decision-maker as the "approach" section — then prune to
+    ``policy.keep`` files."""
+    sections = {
+        "engine": pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL),
+        "approach": pickle.dumps(_decider_payload(decider), protocol=pickle.HIGHEST_PROTOCOL),
+    }
+    path = save_checkpoint(
+        checkpoint_file(policy.path, period), {**meta, "fingerprint": fingerprint}, sections
+    )
+    prune_checkpoints(policy.path, policy.keep)
+    return path
+
+
+def resume_run_state(
+    source: str | Path,
+    fingerprint: str,
+    names: Sequence[str],
+    decider,
+    load_engine: Callable[[dict, dict], object],
+) -> tuple[object, object] | None:
+    """Restore a run from the newest valid checkpoint under ``source``.
+
+    Returns ``(load_engine(meta, engine_section), restored decider)`` —
+    the decider is the checkpointed object itself under the pickle
+    fallback — or ``None`` to cold-start.  A section that no longer
+    unpickles, or state that ``load_engine`` or ``restore`` rejects with
+    ``KeyError``/``ValueError``/``TypeError``, warns and cold-starts
+    (``decider.reset()`` undoes a half-applied restore); ``load_engine``
+    must not mutate its caller.  A checkpoint of a different run raises
+    ``ValueError``: each engine decides whether that is fatal.
+    """
+    found = load_latest_checkpoint(source)
+    if found is None:
+        return None
+    path, ckpt = found
+    if ckpt.meta.get("fingerprint") != fingerprint:
+        raise ValueError(
+            f"checkpoint {path} was written by a different run (fingerprint mismatch)"
+        )
+    try:
+        state = pickle.loads(ckpt.sections["engine"])
+        payload = pickle.loads(ckpt.sections["approach"])
+    except Exception as error:  # noqa: BLE001 - any unpickling failure
+        _cold_start(f"checkpoint {path} failed to deserialize ({error})")
+        return None
+    state, payload = _canonicalize((state, payload), names)
+    try:
+        return load_engine(ckpt.meta, state), _restored_decider(decider, payload)
+    except (KeyError, ValueError, TypeError) as error:
+        decider.reset()
+        _cold_start(f"checkpoint {path} state rejected ({error})")
+        return None
+
+
+def _cold_start(reason: str) -> None:
+    warnings.warn(f"{reason}; cold-starting", RuntimeWarning, stacklevel=4)

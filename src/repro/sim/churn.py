@@ -11,21 +11,19 @@ builds the active population's monitoring window from the master trace
 set, times one :meth:`~repro.core.manager.PowerManager.decide`, and
 records a :class:`ChurnRecord`.
 
-The loop is checkpointable mid-churn through :mod:`repro.sim.checkpoint`:
-a checkpoint carries the manager snapshot plus the engine's cursor state
-(active set, event cursor, per-period records) under the same CRC-framed,
-fingerprint-bound format the replay engine uses, so a killed churn run
-resumes byte-identically to an uninterrupted one.
+The loop is checkpointable mid-churn through the lifecycle the replay
+engine shares in :mod:`repro.sim.checkpoint`: a checkpoint carries the
+manager snapshot plus the engine's cursor state (active set, event
+cursor, per-period records, audit events), so a killed churn run resumes
+byte-identically to an uninterrupted one.  Before each write the
+policy's auditor runs the decision-maker state checks of
+:mod:`repro.sim.audit` over the manager.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import pickle
-import sys
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Callable, Sequence
@@ -33,14 +31,15 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.core.manager import PowerManager
+from repro.sim.audit import AuditEvent, apply_policy, audit_decider_state
 from repro.sim.checkpoint import (
-    CHECKPOINT_LAYOUT,
     CheckpointPolicy,
-    checkpoint_file,
-    load_latest_checkpoint,
-    prune_checkpoints,
-    save_checkpoint,
+    resume_run_state,
+    run_fingerprint,
+    save_run_state,
 )
+# Kept importable here: perfbench's tracer patches this module's name.
+from repro.sim.checkpoint import save_checkpoint  # noqa: F401
 from repro.traces.trace import TraceSet
 
 __all__ = ["ChurnEngine", "ChurnEvent", "ChurnRecord", "synthesize_churn_events"]
@@ -134,27 +133,6 @@ def synthesize_churn_events(
     return tuple(events)
 
 
-def _canonicalize(obj, table: dict[str, str]):
-    """Re-share restored strings against the master trace's name objects.
-
-    ``pickle.dumps`` output depends on object *identity* sharing; an
-    unpickled manager snapshot carries equal-valued private string
-    copies, which would make a resumed run's re-snapshot pickle to
-    different bytes than an uninterrupted twin's (same contract as
-    ``sim/engine.py``'s ``_canonicalize_restored``).
-    """
-    if isinstance(obj, str):
-        canonical = table.get(obj)
-        return canonical if canonical is not None else sys.intern(obj)
-    if isinstance(obj, dict):
-        return {_canonicalize(k, table): _canonicalize(v, table) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_canonicalize(item, table) for item in obj]
-    if isinstance(obj, tuple):
-        return tuple(_canonicalize(item, table) for item in obj)
-    return obj
-
-
 class ChurnEngine:
     """Drives a :class:`PowerManager` from a churn event stream.
 
@@ -200,6 +178,7 @@ class ChurnEngine:
         self._cursor = 0
         self._next_period = 0
         self._records: list[ChurnRecord] = []
+        self._audit_events: list[AuditEvent] = []
 
     @property
     def manager(self) -> PowerManager:
@@ -226,6 +205,11 @@ class ChurnEngine:
         """Per-period records accumulated so far (resume-inclusive)."""
         return tuple(self._records)
 
+    @property
+    def audit_events(self) -> tuple[AuditEvent, ...]:
+        """Audit findings from the checkpoint boundaries (resume-inclusive)."""
+        return tuple(self._audit_events)
+
     def fingerprint(self) -> str:
         """Identity hash binding checkpoints to this exact churn run.
 
@@ -234,8 +218,7 @@ class ChurnEngine:
         depends on — so a checkpoint can never silently resume into a
         different run.
         """
-        identity = (
-            CHECKPOINT_LAYOUT,
+        return run_fingerprint(
             "churn-v1",
             self._events,
             self._traces.names,
@@ -245,8 +228,6 @@ class ChurnEngine:
             int(self._samples),
             self._manager.config,
         )
-        blob = pickle.dumps(identity, protocol=pickle.HIGHEST_PROTOCOL)
-        return hashlib.sha256(blob).hexdigest()
 
     def latency_ms(self) -> dict[str, float]:
         """p50/p99/max decide latency over the recorded periods."""
@@ -340,29 +321,19 @@ class ChurnEngine:
 
     def _checkpoint(self, period: int) -> Path:
         policy = self._policy
-        meta = {
-            "kind": "churn",
-            "fingerprint": self.fingerprint(),
-            "period": int(period),
+        if policy.audit:
+            findings = audit_decider_state(self._manager)
+            self._audit_events.extend(
+                apply_policy(findings, policy.on_violation, self._manager, period)
+            )
+        state = {
+            "active": list(self._active),
+            "cursor": int(self._cursor),
             "next_period": int(self._next_period),
+            "records": list(self._records),
+            "audit_events": list(self._audit_events),
         }
-        sections = {
-            "manager": pickle.dumps(
-                self._manager.snapshot(), protocol=pickle.HIGHEST_PROTOCOL
-            ),
-            "engine": pickle.dumps(
-                {
-                    "active": list(self._active),
-                    "cursor": int(self._cursor),
-                    "next_period": int(self._next_period),
-                    "records": list(self._records),
-                },
-                protocol=pickle.HIGHEST_PROTOCOL,
-            ),
-        }
-        path = save_checkpoint(checkpoint_file(policy.path, period), meta, sections)
-        prune_checkpoints(policy.path, policy.keep)
-        return path
+        return save_run_state(policy, period, self.fingerprint(), {}, state, self._manager)
 
     def resume_latest(self) -> int | None:
         """Restore from the newest valid checkpoint, if any.
@@ -370,55 +341,30 @@ class ChurnEngine:
         Returns the period the engine will execute next, or ``None``
         when no usable checkpoint exists (cold start).  Checkpoints
         whose identity fingerprint does not match this run are refused
-        — resuming a different event stream or config would silently
-        diverge.  A checkpoint whose sections no longer unpickle, or
-        whose state ``restore`` rejects (state written by code that has
-        since changed shape), is reported as a ``RuntimeWarning`` and
-        treated as absent.  Restored state is
-        re-shared against the master trace's name strings so the resumed
-        run re-snapshots byte-identically to an uninterrupted one.
+        with ``ValueError`` — resuming a different event stream or
+        config would silently diverge.  A checkpoint whose sections no
+        longer unpickle, or whose state ``restore`` rejects (state
+        written by code that has since changed shape), is reported as a
+        ``RuntimeWarning`` and treated as absent (see
+        :func:`~repro.sim.checkpoint.resume_run_state`).
         """
         if self._policy is None:
             return None
-        found = load_latest_checkpoint(self._policy.path)
-        if found is None:
+        resumed = resume_run_state(
+            self._policy.path,
+            self.fingerprint(),
+            self._traces.names,
+            self._manager,
+            lambda _meta, state: (
+                list(state["active"]),
+                int(state["cursor"]),
+                int(state["next_period"]),
+                list(state["records"]),
+                list(state["audit_events"]),
+            ),
+        )
+        if resumed is None:
             return None
-        path, ckpt = found
-        if ckpt.meta.get("kind") != "churn":
-            raise ValueError(f"{path} is not a churn checkpoint")
-        if ckpt.meta.get("fingerprint") != self.fingerprint():
-            raise ValueError(
-                f"{path} was written by a different churn run (fingerprint mismatch)"
-            )
-        try:
-            manager_state = pickle.loads(ckpt.sections["manager"])
-            engine_state = pickle.loads(ckpt.sections["engine"])
-        except Exception as error:  # noqa: BLE001 - any unpickling failure
-            warnings.warn(
-                f"checkpoint {path} failed to deserialize ({error}); cold-starting",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-        table = dict(zip(self._traces.names, self._traces.names, strict=True))
-        try:
-            self._manager.restore(_canonicalize(manager_state, table))
-            engine_state = _canonicalize(engine_state, table)
-            active = list(engine_state["active"])
-            cursor = int(engine_state["cursor"])
-            next_period = int(engine_state["next_period"])
-            records = list(engine_state["records"])
-        except (KeyError, ValueError, TypeError) as error:
-            warnings.warn(
-                f"checkpoint {path} state rejected ({error}); cold-starting",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            # The restore may have half-applied before it failed.
-            self._manager.reset()
-            return None
-        self._active = active
-        self._cursor = cursor
-        self._next_period = next_period
-        self._records = records
+        engine, _manager = resumed
+        self._active, self._cursor, self._next_period, self._records, self._audit_events = engine
         return self._next_period

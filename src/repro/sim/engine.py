@@ -29,10 +29,7 @@ order is part of the contract; see ``tests/test_replay_vectorized.py``).
 
 from __future__ import annotations
 
-import hashlib
 import math
-import pickle
-import sys
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -44,13 +41,13 @@ from repro.infrastructure.server import ServerSpec
 from repro.sim import audit as _audit
 from repro.sim.approaches import ConsolidationApproach
 from repro.sim.checkpoint import (
-    CHECKPOINT_LAYOUT,
     CheckpointPolicy,
-    checkpoint_file,
-    load_latest_checkpoint,
-    prune_checkpoints,
-    save_checkpoint,
+    resume_run_state,
+    run_fingerprint,
+    save_run_state,
 )
+# Kept importable here: perfbench's tracer patches this module's name.
+from repro.sim.checkpoint import save_checkpoint  # noqa: F401
 from repro.sim.faults import FaultConfig, FaultSchedule, evacuate_fleet
 from repro.sim.metrics import FrequencyResidency, violating_samples
 from repro.sim.results import FaultStats, ReplayResult
@@ -119,8 +116,7 @@ def _replay_fingerprint(
     identity and the approach's type/name — so a checkpoint can never be
     resumed into a *different* replay and silently diverge.
     """
-    identity = (
-        CHECKPOINT_LAYOUT,
+    return run_fingerprint(
         replace(config, checkpoint=None),
         spec,
         int(num_servers),
@@ -131,133 +127,6 @@ def _replay_fingerprint(
         type(approach).__qualname__,
         str(getattr(approach, "name", "")),
     )
-    blob = pickle.dumps(identity, protocol=pickle.HIGHEST_PROTOCOL)
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _approach_payload(approach: ConsolidationApproach) -> dict:
-    """Checkpointable capture of an approach's cross-period state.
-
-    Approaches exposing ``snapshot()/restore()`` (all built-in ones)
-    serialize just their mutable state; anything else is pickled whole —
-    the universal fallback that also captures RNG bit-generator states
-    of custom stochastic approaches.
-    """
-    descriptor = {
-        "class": type(approach).__qualname__,
-        "name": str(getattr(approach, "name", "")),
-    }
-    if hasattr(approach, "snapshot") and hasattr(approach, "restore"):
-        return {**descriptor, "kind": "snapshot", "state": approach.snapshot()}
-    return {**descriptor, "kind": "object", "object": approach}
-
-
-def _restore_approach(
-    approach: ConsolidationApproach, payload: dict
-) -> ConsolidationApproach:
-    if payload["class"] != type(approach).__qualname__ or payload["name"] != str(
-        getattr(approach, "name", "")
-    ):
-        raise ValueError(
-            f"checkpoint holds {payload['class']}/{payload['name']}, "
-            f"resume was asked for {type(approach).__qualname__}"
-        )
-    if payload["kind"] == "snapshot":
-        approach.restore(payload["state"])
-        return approach
-    return payload["object"]
-
-
-def _canonicalize_restored(state: dict, names: tuple[str, ...]) -> dict:
-    """Re-share string objects of an unpickled engine state.
-
-    The repo's byte-identity contract compares results with
-    ``pickle.dumps``, whose output depends on object *identity* sharing
-    (the pickler memoizes repeated objects).  A live run's placements
-    and info dicts all reference the trace set's own name strings and
-    interned literal keys; an unpickled checkpoint carries equal-valued
-    private copies.  Rewriting the restored containers against the
-    canonical name objects (and ``sys.intern`` for literal keys) makes
-    the resumed run's result share strings exactly like an uninterrupted
-    run — a prerequisite for byte-identical resume, not a cosmetic step.
-    """
-    from repro.core.placement import Placement
-
-    table = dict(zip(names, names, strict=True))
-    rebuilt: dict[int, object] = {}
-
-    def canon(obj):
-        if isinstance(obj, str):
-            canonical = table.get(obj)
-            return canonical if canonical is not None else sys.intern(obj)
-        if isinstance(obj, Placement):
-            cached = rebuilt.get(id(obj))
-            if cached is None:
-                cached = Placement(
-                    {canon(vm): server for vm, server in obj.assignment.items()},
-                    obj.num_servers,
-                )
-                rebuilt[id(obj)] = cached
-            return cached
-        if isinstance(obj, dict):
-            return {canon(key): canon(value) for key, value in obj.items()}
-        if isinstance(obj, list):
-            return [canon(item) for item in obj]
-        if isinstance(obj, tuple):
-            return tuple(canon(item) for item in obj)
-        return obj
-
-    out = dict(state)
-    for key in ("placements", "previous_placement", "infos"):
-        out[key] = canon(state[key])
-    return out
-
-
-def _load_resume_state(
-    resume_from: str | Path,
-    fingerprint: str,
-    schedule: FaultSchedule | None,
-) -> tuple[dict, dict, dict] | None:
-    """The newest usable checkpoint state, or ``None`` for a cold start.
-
-    Corruption, a fingerprint mismatch (checkpoint from a different
-    replay) or a fault-schedule content mismatch are all *reported*
-    (``RuntimeWarning``) and degrade to a cold start — a resume is never
-    silently wrong.
-    """
-    found = load_latest_checkpoint(resume_from)
-    if found is None:
-        return None
-    path, ckpt = found
-    meta = ckpt.meta
-    if meta.get("fingerprint") != fingerprint:
-        warnings.warn(
-            f"checkpoint {path} was written by a different replay "
-            "(fingerprint mismatch); cold-starting",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    expected_hash = schedule.content_hash() if schedule is not None else None
-    if meta.get("schedule_sha256") != expected_hash:
-        warnings.warn(
-            f"checkpoint {path} was written under a different fault "
-            "schedule; cold-starting",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    try:
-        engine_state = pickle.loads(ckpt.sections["engine"])
-        approach_payload = pickle.loads(ckpt.sections["approach"])
-    except Exception as error:  # noqa: BLE001 - any unpickling failure
-        warnings.warn(
-            f"checkpoint {path} failed to deserialize ({error}); cold-starting",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    return meta, engine_state, approach_payload
 
 
 def replay(
@@ -344,39 +213,45 @@ def replay(
         else None
     )
     if resume_from is not None:
-        loaded = _load_resume_state(resume_from, fingerprint, schedule)
-        if loaded is not None:
-            meta, state, approach_payload = loaded
-            try:
-                restored_violation = np.array(state["violation"], dtype=float)
-                if restored_violation.shape != violation.shape:
-                    raise ValueError("checkpointed violation matrix shape mismatch")
-                residency.restore(state["residency"])
-                approach = _restore_approach(approach, approach_payload)
-                state = _canonicalize_restored(state, fine_traces.names)
-            except (KeyError, ValueError, TypeError) as error:
-                warnings.warn(
-                    f"checkpoint state rejected ({error}); cold-starting",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                approach.reset()
-                residency = FrequencyResidency(num_servers, ladder.levels_ghz)
-            else:
-                violation = restored_violation
-                start_period = int(meta["next_period"])
-                evacuations = state["evacuations"]
-                evacuation_energy_j = state["evacuation_energy_j"]
-                unserved_core_s = state["unserved_core_s"]
-                unplaced_vm_periods = state["unplaced_vm_periods"]
-                energy_j = state["energy_j"]
-                migrations = state["migrations"]
-                active_counts = list(state["active_counts"])
-                placements = list(state["placements"])
-                infos = list(state["infos"])
-                previous_placement = state["previous_placement"]
-                audit_events = list(state["audit_events"])
-                last_audit_energy_j = state["last_audit_energy_j"]
+
+        def resumed_state(meta: dict, state: dict) -> dict:
+            # Defense in depth behind the fingerprint: a checkpoint of
+            # another fault schedule or fleet geometry is rejected.
+            expected_hash = schedule.content_hash() if schedule is not None else None
+            if meta.get("schedule_sha256") != expected_hash:
+                raise ValueError("written under a different fault schedule")
+            restored = np.array(state["violation"], dtype=float)
+            if restored.shape != (measured_periods, num_servers):
+                raise ValueError("checkpointed violation matrix shape mismatch")
+            fresh = FrequencyResidency(num_servers, ladder.levels_ghz)
+            fresh.restore(state["residency"])
+            next_period = int(meta["next_period"])
+            return {**state, "violation": restored, "residency": fresh, "next_period": next_period}
+
+        try:
+            resumed = resume_run_state(
+                resume_from, fingerprint, fine_traces.names, approach, resumed_state
+            )
+        except ValueError as error:  # a checkpoint of a different replay
+            warnings.warn(f"{error}; cold-starting", RuntimeWarning, stacklevel=2)
+            resumed = None
+        if resumed is not None:
+            state, approach = resumed
+            violation = state["violation"]
+            residency = state["residency"]
+            start_period = state["next_period"]
+            evacuations = state["evacuations"]
+            evacuation_energy_j = state["evacuation_energy_j"]
+            unserved_core_s = state["unserved_core_s"]
+            unplaced_vm_periods = state["unplaced_vm_periods"]
+            energy_j = state["energy_j"]
+            migrations = state["migrations"]
+            active_counts = list(state["active_counts"])
+            placements = list(state["placements"])
+            infos = list(state["infos"])
+            previous_placement = state["previous_placement"]
+            audit_events = list(state["audit_events"])
+            last_audit_energy_j = state["last_audit_energy_j"]
 
     for period in range(start_period, total_periods):
         window = fine_traces.slice((period - 1) * samples_per_period, period * samples_per_period)
@@ -570,23 +445,12 @@ def replay(
                 "total_periods": total_periods,
                 "samples_per_period": samples_per_period,
                 "num_servers": int(num_servers),
-                "fingerprint": fingerprint,
                 "schedule_sha256": (
                     schedule.content_hash() if schedule is not None else None
                 ),
                 "approach_class": type(approach).__qualname__,
             }
-            save_checkpoint(
-                checkpoint_file(checkpoint_policy.path, period),
-                meta,
-                {
-                    "engine": pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL),
-                    "approach": pickle.dumps(
-                        _approach_payload(approach), protocol=pickle.HIGHEST_PROTOCOL
-                    ),
-                },
-            )
-            prune_checkpoints(checkpoint_policy.path, checkpoint_policy.keep)
+            save_run_state(checkpoint_policy, period, fingerprint, meta, state, approach)
 
     duration_s = measured_periods * samples_per_period * fine_traces.period_s
     fault_stats = None

@@ -664,7 +664,9 @@ class TestFingerprintRecipes:
 
         traces = _traces()
         approach = (
-            _proposed(allocator="sharded", sharding=ShardingConfig(num_shards=2), horizon_periods=1)
+            _proposed(
+                allocator="sharded", sharding=ShardingConfig(num_shards=2), horizon_periods=1
+            )
             if allocator == "sharded"
             else _proposed()
         )

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import pickle
 import sys
+import warnings
 
 import pytest
 
 from repro.core.manager import ManagerConfig
 from repro.core.sharding import ShardingConfig
+from repro.sim.audit import AuditError, AuditEvent
 from repro.sim.checkpoint import CheckpointPolicy
 from repro.sim.churn import (
     ChurnEngine,
@@ -136,6 +138,78 @@ class TestChurnEngine:
             _engine(traces, events)
 
 
+def _corrupt_after_decide(engine, nth):
+    """Make the live exact-allocator cost matrix asymmetric right after
+    the engine's ``nth`` decide (1-based), as memory corruption would."""
+    manager = engine.manager
+    decide = manager.decide
+    decides = 0
+
+    def corrupting(window):
+        nonlocal decides
+        decision = decide(window)
+        decides += 1
+        if decides == nth:
+            dense = manager._allocator._last_matrix.as_array()
+            dense.flags.writeable = True
+            dense[0, 1] += 0.25
+        return decision
+
+    manager.decide = corrupting
+
+
+class TestChurnAudit:
+    """The checkpoint policy's auditor runs before every churn save."""
+
+    PERIODS = 6
+
+    def _run(self, tmp_path, **policy):
+        traces = _traces(num_vms=8)
+        events = synthesize_churn_events(
+            traces.names, periods=self.PERIODS, period_duration_s=12 * traces.period_s, seed=2
+        )
+        engine = _engine(
+            traces, events, checkpoint=CheckpointPolicy(tmp_path, every_periods=2, **policy)
+        )
+        # Decide 2 is period 1, whose checkpoint is the first to be written.
+        _corrupt_after_decide(engine, 2)
+        return engine, engine.run(self.PERIODS)
+
+    def test_default_policy_raises(self, tmp_path):
+        with pytest.raises(AuditError, match="audit failed at period 1: cost_matrix"):
+            self._run(tmp_path)
+
+    def test_warn_records_one_event(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            engine, records = self._run(tmp_path, on_violation="warn")
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == [
+            "audit: cost_matrix violated at period 1: cost matrix is not symmetric"
+        ]
+        assert engine.audit_events == (
+            AuditEvent(
+                check="cost_matrix",
+                period=1,
+                detail="cost matrix is not symmetric",
+                action="warned",
+            ),
+        )
+        assert len(records) == self.PERIODS
+
+    def test_degrade_rebuilds_and_runs_every_period(self, tmp_path):
+        engine, records = self._run(tmp_path, on_violation="degrade")
+        assert [(event.check, event.action) for event in engine.audit_events] == [
+            ("cost_matrix", "rebuilt")
+        ]
+        assert [record.period for record in records] == list(range(self.PERIODS))
+
+    def test_audit_false_runs_no_checks(self, tmp_path):
+        # on_violation stays "raise", so any check that ran would abort.
+        engine, records = self._run(tmp_path, audit=False)
+        assert engine.audit_events == ()
+        assert len(records) == self.PERIODS
+
+
 class _RetiredState:
     """Stands in for checkpointed state whose class was later deleted."""
 
@@ -190,6 +264,30 @@ class TestKillMidChurn:
 
         assert [stable(r) for r in got_records] == [stable(r) for r in want_records]
         assert pickle.dumps(revived.manager.snapshot()) == want_state
+
+    def test_audit_events_survive_kill_and_resume(self, tmp_path):
+        traces = _traces(num_vms=8)
+        events = self._events(traces)
+
+        def policy(name):
+            return CheckpointPolicy(tmp_path / name, every_periods=2, on_violation="warn")
+
+        uninterrupted = _engine(traces, events, checkpoint=policy("whole"))
+        _corrupt_after_decide(uninterrupted, 2)
+        with pytest.warns(RuntimeWarning, match="cost_matrix"):
+            uninterrupted.run(self.PERIODS)
+        assert [event.period for event in uninterrupted.audit_events] == [1]
+
+        killed = _engine(traces, events, checkpoint=policy("killed"))
+        _corrupt_after_decide(killed, 2)
+        with pytest.warns(RuntimeWarning, match="cost_matrix"):
+            killed.run(self.PERIODS, should_stop=lambda: killed.next_period >= self.STOP_AT)
+
+        revived = _engine(traces, events, checkpoint=policy("killed"))
+        assert revived.resume_latest() == self.STOP_AT
+        assert revived.audit_events == uninterrupted.audit_events
+        revived.run(self.PERIODS)
+        assert revived.audit_events == uninterrupted.audit_events
 
     def test_resume_refuses_mismatched_feed(self, tmp_path):
         traces = _traces(num_vms=8)

@@ -259,3 +259,25 @@ class TestBadWindows:
 
         decision = approach.decide(clean[2])
         assert set(decision.placement.assignment) == {"a", "b"}
+
+    def test_pcp_checks_both_references_before_either_keeper_appends(self):
+        """A lone ``+inf`` spoils only the peak reference; the off-peak
+        (percentile) keeper must not record the window either."""
+        ewma = EwmaPredictor(default=4.0)
+        approach = PcpApproach(
+            8, (2.0, 2.3), predictor=ewma, peak_predictor=ewma, default_reference=4.0
+        )
+        traces = periodic_traces(num_periods=2)
+        keepers = (approach._offpeak_refs, approach._peak_refs)
+        before = [pickle.dumps(keeper.snapshot()) for keeper in keepers]
+
+        matrix = traces.slice(0, 60).matrix.copy()
+        matrix[0, 7] = np.inf
+        matrix.flags.writeable = False  # trusted as is: from_matrix skips its check
+        poisoned = TraceSet.from_matrix(matrix, traces.names, traces.period_s)
+        with pytest.raises(ValueError, match=r"references observed for: \['a'\]"):
+            approach.decide(poisoned)
+        assert [pickle.dumps(keeper.snapshot()) for keeper in keepers] == before
+
+        decision = approach.decide(traces.slice(60, 120))
+        assert set(decision.placement.assignment) == {"a", "b"}

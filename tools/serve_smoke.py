@@ -19,7 +19,8 @@ restart:
 
 Exit code 0 when the stitched run matches the reference, 1 on any
 divergence or setup failure.  Usage:
-``python tools/serve_smoke.py [--workdir DIR]``.
+``python tools/serve_smoke.py [--allocator {exact,sharded}] [--workdir DIR]``
+(``--allocator`` is passed through to ``repro serve``; default ``exact``).
 """
 
 from __future__ import annotations
@@ -68,7 +69,9 @@ def _write_feed(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _serve_argv(feed: Path, ckpt_dir: Path | None, resume: bool) -> list[str]:
+def _serve_argv(
+    feed: Path, allocator: str, ckpt_dir: Path | None, resume: bool
+) -> list[str]:
     argv = [
         sys.executable,
         "-m",
@@ -86,6 +89,8 @@ def _serve_argv(feed: Path, ckpt_dir: Path | None, resume: bool) -> list[str]:
         str(SEED),
         "--report-every",
         "1",
+        "--allocator",
+        allocator,
     ]
     if ckpt_dir is not None:
         argv += [
@@ -122,14 +127,17 @@ def _fail(message: str) -> int:
     return 1
 
 
-def run_smoke(workdir: Path) -> int:
+def run_smoke(workdir: Path, allocator: str) -> int:
     feed = workdir / "events.csv"
     _write_feed(feed)
     env = _env()
 
-    print(f"serve smoke: reference run ({NUM_VMS} VMs, {PERIODS} periods)")
+    print(
+        f"serve smoke: reference run ({NUM_VMS} VMs, {PERIODS} periods, "
+        f"{allocator} allocator)"
+    )
     reference = subprocess.run(
-        _serve_argv(feed, None, resume=False),
+        _serve_argv(feed, allocator, None, resume=False),
         capture_output=True,
         text=True,
         env=env,
@@ -144,7 +152,7 @@ def run_smoke(workdir: Path) -> int:
     ckpt_dir = workdir / "ck"
     print("serve smoke: checkpointed run, SIGTERM after the first checkpoint")
     child = subprocess.Popen(
-        _serve_argv(feed, ckpt_dir, resume=False),
+        _serve_argv(feed, allocator, ckpt_dir, resume=False),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -180,7 +188,7 @@ def run_smoke(workdir: Path) -> int:
 
     print(f"serve smoke: resuming at period {resume_at}")
     resumed = subprocess.run(
-        _serve_argv(feed, ckpt_dir, resume=True),
+        _serve_argv(feed, allocator, ckpt_dir, resume=True),
         capture_output=True,
         text=True,
         env=env,
@@ -219,6 +227,12 @@ def run_smoke(workdir: Path) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
+        "--allocator",
+        choices=("exact", "sharded"),
+        default="exact",
+        help="allocation backend passed to repro serve (default: exact)",
+    )
+    parser.add_argument(
         "--workdir",
         type=Path,
         default=None,
@@ -227,9 +241,9 @@ def main() -> int:
     args = parser.parse_args()
     if args.workdir is not None:
         args.workdir.mkdir(parents=True, exist_ok=True)
-        return run_smoke(args.workdir)
+        return run_smoke(args.workdir, args.allocator)
     with tempfile.TemporaryDirectory(prefix="serve-smoke-") as tmp:
-        return run_smoke(Path(tmp))
+        return run_smoke(Path(tmp), args.allocator)
 
 
 if __name__ == "__main__":
