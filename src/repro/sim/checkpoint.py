@@ -9,8 +9,8 @@ owns the file format, the durability contract and the lifecycle both
 loops share: the run fingerprint (:func:`run_fingerprint`), the
 save-and-prune of the ``{"engine", "approach"}`` sections
 (:func:`save_run_state`) and the resume routine
-(:func:`resume_run_state`, which re-shares restored strings through
-:func:`_canonicalize`).  Each engine owns *what* goes into its "engine"
+(:func:`resume_run_state`, which re-shares restored strings with the
+live trace names).  Each engine owns *what* goes into its "engine"
 section and runs the auditor (``sim/audit.py``) right before each write.
 
 File format (``checkpoint_layout="v1"``)::
