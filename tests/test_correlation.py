@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 from repro.core.correlation import (
     CostMatrix,
     NEUTRAL_COST,
+    RollingCostHorizon,
     StreamingCostMatrix,
+    _cost_matrix_from_parts,
     pearson_cost_matrix,
 )
 from repro.traces.trace import ReferenceSpec, TraceSet, UtilizationTrace
@@ -190,3 +194,81 @@ class TestPearsonCostMatrix:
             window = TraceSet.from_matrix(rng.uniform(0.0, 4.0, (num_vms, 60)), names, 5.0)
             matrix = pearson_cost_matrix(window)
             assert np.array_equal(matrix, matrix.T)
+
+
+# ----------------------------------------------------------------------
+# Eqn-1 assembly against a transcribed reference
+# ----------------------------------------------------------------------
+# ``_reference_cost_matrix_from_parts`` transcribes the assembly as it
+# stood before it filled one buffer: a numerator temporary, a full
+# quotient under ``errstate`` and an ``np.where`` select.  Division is
+# exact IEEE arithmetic wherever it runs, so skipping it on non-positive
+# joints must not move a bit.
+def _reference_cost_matrix_from_parts(singles, joint):
+    numerator = singles[:, None] + singles[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        matrix = np.where(joint > 0.0, numerator / joint, NEUTRAL_COST)
+    np.fill_diagonal(matrix, NEUTRAL_COST)
+    return matrix
+
+
+#: Joint references: zeros of both signs, negatives, NaN and +inf mixed
+#: with ordinary positive values.  Magnitudes stay away from zero, where
+#: the transcription's full quotient would overflow (and warn) even on
+#: entries it then discards.
+_joint_values = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, float("nan"), float("inf")]),
+    st.floats(min_value=-5.0, max_value=-1e-6),
+    st.floats(min_value=1e-6, max_value=20.0),
+)
+
+
+@st.composite
+def _eqn1_parts(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    singles = np.array(
+        draw(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=n, max_size=n))
+    )
+    joint = np.array(
+        draw(st.lists(_joint_values, min_size=n * n, max_size=n * n))
+    ).reshape(n, n)
+    if draw(st.booleans()):
+        joint = np.maximum(joint, joint.T)  # symmetric, as every caller passes
+    return singles, joint
+
+
+class TestCostAssemblyOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_eqn1_parts())
+    def test_matches_transcribed_assembly(self, parts):
+        singles, joint = parts
+        joint.flags.writeable = False
+        before = joint.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ours = _cost_matrix_from_parts(singles, joint)
+        expected = _reference_cost_matrix_from_parts(singles, joint)
+        assert ours.dtype == expected.dtype
+        assert ours.flags.c_contiguous and expected.flags.c_contiguous
+        assert np.array_equal(ours, expected)
+        # ``joint`` may be a cached horizon part: it is never written.
+        assert joint.tobytes() == before
+
+    def test_single_vm_is_neutral(self):
+        for joint in (0.0, float("nan"), 3.0):
+            matrix = _cost_matrix_from_parts(np.array([2.0]), np.array([[joint]]))
+            assert matrix.tolist() == [[NEUTRAL_COST]]
+
+    def test_one_window_horizon_leaves_its_cached_part_intact(self):
+        """The first window's joint part is assembled as-is, then folded
+        into the next period's horizon: were it overwritten with costs,
+        the peak fold would stop matching a full rebuild."""
+        rng = np.random.default_rng(5)
+        names = [f"vm{i}" for i in range(5)]
+        data = rng.uniform(0.0, 4.0, (5, 90))
+        data[4] = 0.0  # an idle VM: non-positive joints on its row
+        horizon = RollingCostHorizon(horizon_periods=3)
+        for stop in (30, 60, 90):
+            pushed = horizon.push(TraceSet.from_matrix(data[:, stop - 30 : stop], names, 5.0))
+            rebuilt = CostMatrix.from_traces(TraceSet.from_matrix(data[:, :stop], names, 5.0))
+            assert np.array_equal(pushed.as_array(), rebuilt.as_array())

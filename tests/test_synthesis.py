@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-
-import math
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.traces.synthesis import (
     STREAM_LAYOUTS,
@@ -237,3 +239,85 @@ class TestStreamLayouts:
             synthesize_population(np.array([[1.0]]), 10.0, 5.0, sigma=-0.2)
         with pytest.raises(ValueError, match="integer multiple"):
             synthesize_population(np.array([[1.0]]), 10.0, 3.0)
+
+
+# ----------------------------------------------------------------------
+# synthesize_population against a transcribed reference
+# ----------------------------------------------------------------------
+# ``_reference_synthesize_population`` transcribes the v2 kernel as it
+# stood before it scaled the fine matrix in place: the per-window scale
+# was ``np.repeat``-ed to a full (num_vms, num_windows * factor) copy and
+# multiplied in.  Element-wise products do not depend on how the scale
+# is broadcast, so the in-place kernel must reproduce it byte for byte.
+def _reference_synthesize_population(
+    coarse_matrix, coarse_period_s, fine_period_s, sigma, rng, match_means_exactly
+):
+    means = np.asarray(coarse_matrix, dtype=float)
+    factor = int(round(coarse_period_s / fine_period_s))
+    if sigma == 0.0:
+        return np.repeat(means, factor, axis=1)
+    num_vms, num_windows = means.shape
+    fine = rng.standard_normal(size=(num_vms, num_windows * factor))
+    np.multiply(fine, sigma, out=fine)
+    np.exp(fine, out=fine)
+    scale = np.repeat(means * math.exp(-sigma * sigma / 2.0), factor, axis=1)
+    np.multiply(fine, scale, out=fine)
+    if match_means_exactly:
+        blocks = fine.reshape(num_vms, num_windows, factor)
+        empirical = blocks.mean(axis=2)
+        rescale = np.divide(
+            means, empirical, out=np.ones_like(means), where=empirical > 0
+        )
+        np.multiply(blocks, rescale[:, :, None], out=blocks)
+    return fine
+
+
+@st.composite
+def _coarse_populations(draw):
+    num_vms = draw(st.integers(min_value=1, max_value=4))
+    num_windows = draw(st.integers(min_value=1, max_value=5))
+    # Zero-mean windows are drawn often: they scale to exactly zero.
+    window_mean = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0))
+    cells = draw(
+        st.lists(window_mean, min_size=num_vms * num_windows, max_size=num_vms * num_windows)
+    )
+    return np.array(cells, dtype=float).reshape(num_vms, num_windows)
+
+
+class TestPopulationKernelOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        means=_coarse_populations(),
+        factor=st.integers(min_value=1, max_value=6),
+        sigma=st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.5)),
+        match_means_exactly=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_transcribed_kernel(self, means, factor, sigma, match_means_exactly, seed):
+        coarse_period_s = 5.0 * factor
+        ours = synthesize_population(
+            means, coarse_period_s, 5.0, sigma=sigma,
+            rng=np.random.default_rng(seed), match_means_exactly=match_means_exactly,
+        )
+        expected = _reference_synthesize_population(
+            means, coarse_period_s, 5.0, sigma, np.random.default_rng(seed),
+            match_means_exactly,
+        )
+        assert ours.dtype == expected.dtype
+        assert ours.flags.c_contiguous and expected.flags.c_contiguous
+        assert np.array_equal(ours, expected)
+
+    def test_refine_trace_set_v2_matches_transcribed_kernel(self):
+        rng = np.random.default_rng(21)
+        matrix = rng.uniform(0.0, 3.5, size=(6, 4))
+        matrix[2, 1] = 0.0
+        coarse = TraceSet.from_matrix(matrix, [f"vm{i}" for i in range(6)], 300.0)
+        fine = refine_trace_set(
+            coarse, 5.0, sigma=0.35, rng=np.random.default_rng(3), cap=4.0,
+            stream_layout="v2",
+        )
+        expected = _reference_synthesize_population(
+            matrix, 300.0, 5.0, 0.35, np.random.default_rng(3), False
+        )
+        np.minimum(expected, 4.0, out=expected)
+        assert np.array_equal(fine.matrix, expected)
