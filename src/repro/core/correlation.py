@@ -83,11 +83,14 @@ def _cost_matrix_from_parts(singles: np.ndarray, joint: np.ndarray) -> np.ndarra
     ``singles`` is the per-VM reference vector; ``joint`` the symmetric
     matrix of joint references.  Entries with a non-positive joint
     reference (both VMs idle) take :data:`NEUTRAL_COST`, as does the
-    diagonal.
+    diagonal.  The numerator is divided in place in the one returned
+    buffer; ``joint`` is only read (it may be a cached horizon part).
     """
-    numerator = singles[:, None] + singles[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        matrix = np.where(joint > 0.0, numerator / joint, NEUTRAL_COST)
+    matrix = np.add.outer(singles, singles)
+    positive = joint > 0.0
+    np.divide(matrix, joint, out=matrix, where=positive)
+    # Every other entry, NaN joints included, is a degenerate pair.
+    np.copyto(matrix, NEUTRAL_COST, where=np.logical_not(positive, out=positive))
     np.fill_diagonal(matrix, NEUTRAL_COST)
     return matrix
 

@@ -204,11 +204,13 @@ def synthesize_population(
     np.multiply(fine, sigma, out=fine)
     np.exp(fine, out=fine)
     # E[exp(sigma z)] = exp(sigma^2/2), so scaling by m * exp(-sigma^2/2)
-    # pins each window's distribution mean to its coarse sample.
-    scale = np.repeat(means * math.exp(-sigma * sigma / 2.0), factor, axis=1)
-    np.multiply(fine, scale, out=fine)
+    # pins each window's distribution mean to its coarse sample.  The
+    # scale is broadcast over a per-window view, so the fine matrix is
+    # the only full-size buffer.
+    blocks = fine.reshape(num_vms, num_windows, factor)
+    scale = means * math.exp(-sigma * sigma / 2.0)
+    np.multiply(blocks, scale[:, :, None], out=blocks)
     if match_means_exactly:
-        blocks = fine.reshape(num_vms, num_windows, factor)
         empirical = blocks.mean(axis=2)
         rescale = np.divide(
             means, empirical, out=np.ones_like(means), where=empirical > 0
