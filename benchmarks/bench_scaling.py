@@ -15,7 +15,9 @@ per-period accounting) of a 1000-VM / 125-server fleet through the
 fleet-vectorized engine, in both DVFS modes, gated on per-period wall
 time; a *synthesis gate*: coarse-to-fine population refinement at
 N=1000 under the legacy (v1) and batched (v2) RNG stream layouts, gated
-on the v2 speedup; a *datacenter-traces gate*: coarse population
+on the v2 speedup and on v2's traced peak over its output bytes; a
+*decide-memory gate*: a warm exact decide's traced peak above its
+steady state at N=1000, in N² float64 units; a *datacenter-traces gate*: coarse population
 generation at N=1000 under the legacy (v1) and batched (v2) profile
 layouts, gated on the v2 speedup and the statistical equivalence of the
 two layouts' populations; an *allocate-sweep gate*: repeated per-period
@@ -42,6 +44,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +66,7 @@ from repro.sim.approaches import BfdApproach
 from repro.sim.churn import ChurnEngine, synthesize_churn_events
 from repro.sim.engine import ReplayConfig, replay
 from repro.traces.datacenter import DatacenterTraceConfig, generate_datacenter_traces
-from repro.traces.synthesis import refine_trace_set
+from repro.traces.synthesis import refine_trace_set, synthesize_population
 from repro.traces.trace import ReferenceSpec, TraceSet, UtilizationTrace
 
 SIZES = (40, 200, 1000)
@@ -90,6 +93,9 @@ SYNTHESIS_WINDOWS = 288          # 24 h of 5-minute monitoring samples
 SYNTHESIS_FINE_PERIOD_S = 5.0
 SYNTHESIS_SIGMA = 0.35
 SYNTHESIS_MIN_SPEEDUP = 2.0
+# Traced peak over output bytes: 1.0 when the fine matrix is the only
+# full-size buffer (2.02 read with a full-size copy of the scale).
+SYNTHESIS_MAX_PEAK_VS_OUTPUT = 1.10
 
 SWEEP_VMS = 1000
 SWEEP_PERIODS = 4
@@ -110,6 +116,16 @@ HORIZON_PERCENTILE = 90.0
 HORIZON_P2_MAX_RATIO_VS_PEAK = 3.5
 HORIZON_P2_MIN_SPEEDUP_VS_REBUILD = 2.5
 HORIZON_P2_MAX_REL_DEVIATION = 0.10
+
+DECIDE_MEMORY_VMS = 1000
+DECIDE_MEMORY_WINDOW_SAMPLES = 120
+DECIDE_MEMORY_WARM_DECIDES = 5
+# A warm exact decide's traced peak above steady state, in N² float64
+# units; byte counts, so the same on any box.  The one-buffer Eqn-1
+# assembly took peak references from 4.1 to 2.1 and p90 (p2) from 5.6
+# to 3.8 at N=700.
+DECIDE_MEMORY_MAX_PEAK_N2 = 3.5
+DECIDE_MEMORY_MAX_P2_N2 = 4.5
 
 SHARDED_SMALL_VMS = 2000
 SHARDED_SMALL_CLUSTERS = 32
@@ -555,6 +571,17 @@ def test_synthesis_gate(report, bench_json_merge):
     # detail).
     assert np.array_equal(_build("v2").matrix, _build("v2").matrix)
 
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        fine = synthesize_population(
+            matrix, 300.0, SYNTHESIS_FINE_PERIOD_S, sigma=SYNTHESIS_SIGMA, rng=rng
+        )
+        peak_vs_output = tracemalloc.get_traced_memory()[1] / fine.nbytes
+    finally:
+        tracemalloc.stop()
+    del fine
+
     payload = {
         "vms": SYNTHESIS_VMS,
         "coarse_windows": SYNTHESIS_WINDOWS,
@@ -564,15 +591,22 @@ def test_synthesis_gate(report, bench_json_merge):
         "v2_ms": round(v2_ms, 3),
         "speedup": round(speedup, 2),
         "min_speedup": SYNTHESIS_MIN_SPEEDUP,
+        "peak_vs_output": round(peak_vs_output, 3),
+        "max_peak_vs_output": SYNTHESIS_MAX_PEAK_VS_OUTPUT,
     }
     path = bench_json_merge("scaling", "synthesis", payload)
     report(
         f"population build at N={SYNTHESIS_VMS}: v1 {v1_ms:.1f} ms, "
-        f"v2 {v2_ms:.1f} ms ({speedup:.1f}x)\npersisted to {path}"
+        f"v2 {v2_ms:.1f} ms ({speedup:.1f}x), traced peak "
+        f"{peak_vs_output:.3f}x the output\npersisted to {path}"
     )
     assert speedup >= SYNTHESIS_MIN_SPEEDUP, (
         f"v2 synthesis only {speedup:.2f}x faster than v1 at N={SYNTHESIS_VMS}, "
         f"gate is {SYNTHESIS_MIN_SPEEDUP}x"
+    )
+    assert peak_vs_output <= SYNTHESIS_MAX_PEAK_VS_OUTPUT, (
+        f"v2 synthesis peaked at {peak_vs_output:.3f}x its output, "
+        f"gate is {SYNTHESIS_MAX_PEAK_VS_OUTPUT}x"
     )
 
 
@@ -824,6 +858,79 @@ def test_horizon_percentile_gate(report, bench_json_merge):
     assert deviation <= HORIZON_P2_MAX_REL_DEVIATION, (
         f"p2 horizon cost matrix deviates {deviation:.4f} from the exact rebuild, "
         f"gate is {HORIZON_P2_MAX_REL_DEVIATION}"
+    )
+
+
+def test_decide_memory_gate(report, bench_json_merge):
+    """A warm exact decide's transient memory at N=1000, in N² float64s.
+
+    Tracing starts before the manager is built, so what it keeps across
+    periods (horizon parts, reindex cache, latest cost matrix) is the
+    steady state; the peak of one more decide above it is the transient.
+    The Eqn-1 assembly fills the one matrix it returns, so what remains
+    is the horizon fold's result, that matrix, and (p2) the marker
+    scatter.  Gated for peak references and for p90 through the p2 fold.
+    """
+    rng = np.random.default_rng(DECIDE_MEMORY_VMS)
+    names = [f"vm{i:04d}" for i in range(DECIDE_MEMORY_VMS)]
+    windows = [
+        TraceSet.from_matrix(
+            rng.uniform(0.0, 2.0, (DECIDE_MEMORY_VMS, DECIDE_MEMORY_WINDOW_SAMPLES)),
+            names,
+            5.0,
+        )
+        for _ in range(DECIDE_MEMORY_WARM_DECIDES + 1)
+    ]
+
+    def _transient(reference: ReferenceSpec, horizon_mode: str) -> float:
+        tracemalloc.start()
+        try:
+            manager = PowerManager(
+                ManagerConfig(
+                    n_cores=XEON_E5410.n_cores,
+                    freq_levels_ghz=XEON_E5410.freq_levels_ghz,
+                    reference=reference,
+                    default_reference=4.0,
+                    horizon_periods=HORIZON_DEPTH,
+                    horizon_mode=horizon_mode,
+                )
+            )
+            for window in windows[:-1]:
+                manager.decide(window)
+            steady = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            manager.decide(windows[-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - steady) / (DECIDE_MEMORY_VMS**2 * 8)
+
+    peak_n2 = _transient(ReferenceSpec(), "exact")
+    p2_n2 = _transient(ReferenceSpec(HORIZON_PERCENTILE), "p2")
+    payload = {
+        "vms": DECIDE_MEMORY_VMS,
+        "window_samples": DECIDE_MEMORY_WINDOW_SAMPLES,
+        "horizon_periods": HORIZON_DEPTH,
+        "warm_decides": DECIDE_MEMORY_WARM_DECIDES,
+        "percentile": HORIZON_PERCENTILE,
+        "peak_transient_n2": round(peak_n2, 3),
+        "p2_transient_n2": round(p2_n2, 3),
+        "max_peak_transient_n2": DECIDE_MEMORY_MAX_PEAK_N2,
+        "max_p2_transient_n2": DECIDE_MEMORY_MAX_P2_N2,
+    }
+    path = bench_json_merge("scaling", "decide_memory", payload)
+    report(
+        f"warm exact decide at N={DECIDE_MEMORY_VMS}: transient {peak_n2:.2f} N² "
+        f"float64 (peak refs), {p2_n2:.2f} N² (p{HORIZON_PERCENTILE:.0f}, p2)"
+        f"\npersisted to {path}"
+    )
+    assert peak_n2 <= DECIDE_MEMORY_MAX_PEAK_N2, (
+        f"warm peak-reference decide peaked {peak_n2:.2f} N² float64 above "
+        f"steady state, gate is {DECIDE_MEMORY_MAX_PEAK_N2}"
+    )
+    assert p2_n2 <= DECIDE_MEMORY_MAX_P2_N2, (
+        f"warm p2 decide peaked {p2_n2:.2f} N² float64 above steady state, "
+        f"gate is {DECIDE_MEMORY_MAX_P2_N2}"
     )
 
 
