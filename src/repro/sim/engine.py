@@ -214,7 +214,7 @@ def replay(
     )
     if resume_from is not None:
 
-        def resumed_state(meta: dict, state: dict) -> dict:
+        def resumed_state(meta: dict, state: dict) -> tuple:
             # Defense in depth behind the fingerprint: a checkpoint of
             # another fault schedule or fleet geometry is rejected.
             expected_hash = schedule.content_hash() if schedule is not None else None
@@ -225,8 +225,26 @@ def replay(
                 raise ValueError("checkpointed violation matrix shape mismatch")
             fresh = FrequencyResidency(num_servers, ladder.levels_ghz)
             fresh.restore(state["residency"])
-            next_period = int(meta["next_period"])
-            return {**state, "violation": restored, "residency": fresh, "next_period": next_period}
+            # Every field is read here, inside the shared reject path: a
+            # section missing one (an older layout) cold-starts with a
+            # warning instead of raising after the approach is restored.
+            return (
+                restored,
+                fresh,
+                int(meta["next_period"]),
+                state["evacuations"],
+                state["evacuation_energy_j"],
+                state["unserved_core_s"],
+                state["unplaced_vm_periods"],
+                state["energy_j"],
+                state["migrations"],
+                list(state["active_counts"]),
+                list(state["placements"]),
+                list(state["infos"]),
+                state["previous_placement"],
+                list(state["audit_events"]),
+                state["last_audit_energy_j"],
+            )
 
         try:
             resumed = resume_run_state(
@@ -236,22 +254,24 @@ def replay(
             warnings.warn(f"{error}; cold-starting", RuntimeWarning, stacklevel=2)
             resumed = None
         if resumed is not None:
-            state, approach = resumed
-            violation = state["violation"]
-            residency = state["residency"]
-            start_period = state["next_period"]
-            evacuations = state["evacuations"]
-            evacuation_energy_j = state["evacuation_energy_j"]
-            unserved_core_s = state["unserved_core_s"]
-            unplaced_vm_periods = state["unplaced_vm_periods"]
-            energy_j = state["energy_j"]
-            migrations = state["migrations"]
-            active_counts = list(state["active_counts"])
-            placements = list(state["placements"])
-            infos = list(state["infos"])
-            previous_placement = state["previous_placement"]
-            audit_events = list(state["audit_events"])
-            last_audit_energy_j = state["last_audit_energy_j"]
+            engine_state, approach = resumed
+            (
+                violation,
+                residency,
+                start_period,
+                evacuations,
+                evacuation_energy_j,
+                unserved_core_s,
+                unplaced_vm_periods,
+                energy_j,
+                migrations,
+                active_counts,
+                placements,
+                infos,
+                previous_placement,
+                audit_events,
+                last_audit_energy_j,
+            ) = engine_state
 
     for period in range(start_period, total_periods):
         window = fine_traces.slice((period - 1) * samples_per_period, period * samples_per_period)

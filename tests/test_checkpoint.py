@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -601,6 +602,27 @@ class TestReplayResume:
         save_checkpoint(newest, tampered, dict(loaded.sections))
         with pytest.warns(RuntimeWarning, match="different fault"):
             resumed = replay(traces, SPEC, 6, _bfd(), plain, resume_from=newest)
+        assert pickle.dumps(resumed) == reference
+
+    def test_engine_section_missing_a_field_cold_starts_with_warning(self, tmp_path):
+        # An engine section written by an older layout, one accumulator
+        # short: rejected like any other unusable state, before the
+        # approach is touched, instead of a KeyError out of replay().
+        traces = _traces()
+        plain = ReplayConfig(tperiod_s=300.0)
+        reference = pickle.dumps(replay(traces, SPEC, 6, _proposed(), plain))
+        replay(traces, SPEC, 6, _proposed(), _checkpointed_config(tmp_path))
+        newest = list_checkpoints(tmp_path)[0]
+        loaded = load_checkpoint(newest)
+        engine = pickle.loads(loaded.sections["engine"])
+        del engine["audit_events"]
+        sections = {**loaded.sections, "engine": pickle.dumps(engine)}
+        save_checkpoint(newest, dict(loaded.meta), sections)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            resumed = replay(traces, SPEC, 6, _proposed(), plain, resume_from=newest)
+        messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+        assert len(messages) == 1 and "state rejected" in messages[0], messages
         assert pickle.dumps(resumed) == reference
 
     def test_corrupt_latest_falls_back_to_previous(self, tmp_path):
