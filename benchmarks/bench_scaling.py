@@ -39,12 +39,12 @@ factor, and the warm cross-period allocate stays under its budget.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +66,7 @@ from repro.sim.approaches import BfdApproach
 from repro.sim.churn import ChurnEngine, synthesize_churn_events
 from repro.sim.engine import ReplayConfig, replay
 from repro.traces.datacenter import DatacenterTraceConfig, generate_datacenter_traces
-from repro.traces.synthesis import refine_trace_set, synthesize_population
+from repro.traces.synthesis import refine_trace_set
 from repro.traces.trace import ReferenceSpec, TraceSet, UtilizationTrace
 
 SIZES = (40, 200, 1000)
@@ -117,9 +117,7 @@ HORIZON_P2_MAX_RATIO_VS_PEAK = 3.5
 HORIZON_P2_MIN_SPEEDUP_VS_REBUILD = 2.5
 HORIZON_P2_MAX_REL_DEVIATION = 0.10
 
-DECIDE_MEMORY_VMS = 1000
-DECIDE_MEMORY_WINDOW_SAMPLES = 120
-DECIDE_MEMORY_WARM_DECIDES = 5
+DECIDE_MEMORY_VMS = 1000        # W=120, H=3, 5 warm decides, as in tier-1
 # A warm exact decide's traced peak above steady state, in N² float64
 # units; byte counts, so the same on any box.  The one-buffer Eqn-1
 # assembly took peak references from 4.1 to 2.1 and p90 (p2) from 5.6
@@ -571,16 +569,9 @@ def test_synthesis_gate(report, bench_json_merge):
     # detail).
     assert np.array_equal(_build("v2").matrix, _build("v2").matrix)
 
-    rng = np.random.default_rng(1)
-    tracemalloc.start()
-    try:
-        fine = synthesize_population(
-            matrix, 300.0, SYNTHESIS_FINE_PERIOD_S, sigma=SYNTHESIS_SIGMA, rng=rng
-        )
-        peak_vs_output = tracemalloc.get_traced_memory()[1] / fine.nbytes
-    finally:
-        tracemalloc.stop()
-    del fine
+    peak_vs_output = _memory_probes().synthesis_peak_vs_output(
+        SYNTHESIS_VMS, SYNTHESIS_WINDOWS, int(300.0 / SYNTHESIS_FINE_PERIOD_S)
+    )
 
     payload = {
         "vms": SYNTHESIS_VMS,
@@ -861,57 +852,32 @@ def test_horizon_percentile_gate(report, bench_json_merge):
     )
 
 
+def _memory_probes():
+    """The traced-memory probes tier-1 gates at N=700 (tests/test_memory.py)."""
+    path = Path(__file__).resolve().parent.parent / "tests" / "test_memory.py"
+    spec = importlib.util.spec_from_file_location("memory_probes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_decide_memory_gate(report, bench_json_merge):
     """A warm exact decide's transient memory at N=1000, in N² float64s.
 
-    Tracing starts before the manager is built, so what it keeps across
-    periods (horizon parts, reindex cache, latest cost matrix) is the
-    steady state; the peak of one more decide above it is the transient.
-    The Eqn-1 assembly fills the one matrix it returns, so what remains
-    is the horizon fold's result, that matrix, and (p2) the marker
+    The peak of one more decide above what the manager keeps across
+    periods (horizon parts, reindex cache, latest cost matrix).  The
+    Eqn-1 assembly fills the one matrix it returns, so what remains is
+    the horizon fold's result, that matrix, and (p2) the marker
     scatter.  Gated for peak references and for p90 through the p2 fold.
     """
-    rng = np.random.default_rng(DECIDE_MEMORY_VMS)
-    names = [f"vm{i:04d}" for i in range(DECIDE_MEMORY_VMS)]
-    windows = [
-        TraceSet.from_matrix(
-            rng.uniform(0.0, 2.0, (DECIDE_MEMORY_VMS, DECIDE_MEMORY_WINDOW_SAMPLES)),
-            names,
-            5.0,
-        )
-        for _ in range(DECIDE_MEMORY_WARM_DECIDES + 1)
-    ]
-
-    def _transient(reference: ReferenceSpec, horizon_mode: str) -> float:
-        tracemalloc.start()
-        try:
-            manager = PowerManager(
-                ManagerConfig(
-                    n_cores=XEON_E5410.n_cores,
-                    freq_levels_ghz=XEON_E5410.freq_levels_ghz,
-                    reference=reference,
-                    default_reference=4.0,
-                    horizon_periods=HORIZON_DEPTH,
-                    horizon_mode=horizon_mode,
-                )
-            )
-            for window in windows[:-1]:
-                manager.decide(window)
-            steady = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            manager.decide(windows[-1])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return (peak - steady) / (DECIDE_MEMORY_VMS**2 * 8)
-
-    peak_n2 = _transient(ReferenceSpec(), "exact")
-    p2_n2 = _transient(ReferenceSpec(HORIZON_PERCENTILE), "p2")
+    probes = _memory_probes()
+    peak_n2 = probes.decide_transient(DECIDE_MEMORY_VMS, ReferenceSpec(), "exact")
+    p2_n2 = probes.decide_transient(DECIDE_MEMORY_VMS, ReferenceSpec(HORIZON_PERCENTILE), "p2")
     payload = {
         "vms": DECIDE_MEMORY_VMS,
-        "window_samples": DECIDE_MEMORY_WINDOW_SAMPLES,
-        "horizon_periods": HORIZON_DEPTH,
-        "warm_decides": DECIDE_MEMORY_WARM_DECIDES,
+        "window_samples": probes.DECIDE_WINDOW_SAMPLES,
+        "horizon_periods": probes.DECIDE_HORIZON,
+        "warm_decides": probes.DECIDE_WARM_DECIDES,
         "percentile": HORIZON_PERCENTILE,
         "peak_transient_n2": round(peak_n2, 3),
         "p2_transient_n2": round(p2_n2, 3),

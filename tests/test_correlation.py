@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.core.correlation import (
     CostMatrix,
     NEUTRAL_COST,
-    RollingCostHorizon,
     StreamingCostMatrix,
     _cost_matrix_from_parts,
     pearson_cost_matrix,
@@ -251,24 +250,6 @@ class TestCostAssemblyOracle:
         assert ours.dtype == expected.dtype
         assert ours.flags.c_contiguous and expected.flags.c_contiguous
         assert np.array_equal(ours, expected)
-        # ``joint`` may be a cached horizon part: it is never written.
+        # ``joint`` may be a cached horizon part (tests/test_horizon_fold.py
+        # folds one into the next period): it is never written.
         assert joint.tobytes() == before
-
-    def test_single_vm_is_neutral(self):
-        for joint in (0.0, float("nan"), 3.0):
-            matrix = _cost_matrix_from_parts(np.array([2.0]), np.array([[joint]]))
-            assert matrix.tolist() == [[NEUTRAL_COST]]
-
-    def test_one_window_horizon_leaves_its_cached_part_intact(self):
-        """The first window's joint part is assembled as-is, then folded
-        into the next period's horizon: were it overwritten with costs,
-        the peak fold would stop matching a full rebuild."""
-        rng = np.random.default_rng(5)
-        names = [f"vm{i}" for i in range(5)]
-        data = rng.uniform(0.0, 4.0, (5, 90))
-        data[4] = 0.0  # an idle VM: non-positive joints on its row
-        horizon = RollingCostHorizon(horizon_periods=3)
-        for stop in (30, 60, 90):
-            pushed = horizon.push(TraceSet.from_matrix(data[:, stop - 30 : stop], names, 5.0))
-            rebuilt = CostMatrix.from_traces(TraceSet.from_matrix(data[:, :stop], names, 5.0))
-            assert np.array_equal(pushed.as_array(), rebuilt.as_array())

@@ -52,9 +52,7 @@ def synthesis_peak_vs_output(num_vms: int, num_windows: int, factor: int) -> flo
     return peak / fine.nbytes
 
 
-def decide_transient(
-    num_vms: int, reference: ReferenceSpec, horizon_mode: str, warm_decides: int
-) -> float:
+def decide_transient(num_vms: int, reference: ReferenceSpec, horizon_mode: str) -> float:
     """A warm exact decide's traced peak above steady state, in N² float64s.
 
     Tracing starts before the manager is built, so every buffer it keeps
@@ -67,7 +65,7 @@ def decide_transient(
         TraceSet.from_matrix(
             rng.uniform(0.0, 2.0, (num_vms, DECIDE_WINDOW_SAMPLES)), names, 5.0
         )
-        for _ in range(warm_decides + 1)
+        for _ in range(DECIDE_WARM_DECIDES + 1)
     ]
     tracemalloc.start()
     try:
@@ -103,9 +101,10 @@ def test_synthesis_fills_only_its_output():
 @pytest.mark.parametrize(
     ("label", "reference", "horizon_mode"),
     [("peak", ReferenceSpec(), "exact"), ("p90-p2", ReferenceSpec(90.0), "p2")],
+    ids=["peak", "p90-p2"],
 )
 def test_warm_exact_decide_transient(label, reference, horizon_mode):
-    transient = decide_transient(DECIDE_VMS, reference, horizon_mode, DECIDE_WARM_DECIDES)
+    transient = decide_transient(DECIDE_VMS, reference, horizon_mode)
     bound = DECIDE_MAX_TRANSIENT[label]
     assert transient <= bound, (
         f"warm {label} decide at N={DECIDE_VMS} peaked {transient:.2f} N² float64 "

@@ -306,18 +306,3 @@ class TestPopulationKernelOracle:
         assert ours.dtype == expected.dtype
         assert ours.flags.c_contiguous and expected.flags.c_contiguous
         assert np.array_equal(ours, expected)
-
-    def test_refine_trace_set_v2_matches_transcribed_kernel(self):
-        rng = np.random.default_rng(21)
-        matrix = rng.uniform(0.0, 3.5, size=(6, 4))
-        matrix[2, 1] = 0.0
-        coarse = TraceSet.from_matrix(matrix, [f"vm{i}" for i in range(6)], 300.0)
-        fine = refine_trace_set(
-            coarse, 5.0, sigma=0.35, rng=np.random.default_rng(3), cap=4.0,
-            stream_layout="v2",
-        )
-        expected = _reference_synthesize_population(
-            matrix, 300.0, 5.0, 0.35, np.random.default_rng(3), False
-        )
-        np.minimum(expected, 4.0, out=expected)
-        assert np.array_equal(fine.matrix, expected)
