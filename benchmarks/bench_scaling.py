@@ -17,10 +17,11 @@ time; a *synthesis gate*: coarse-to-fine population refinement at
 N=1000 under the legacy (v1) and batched (v2) RNG stream layouts, gated
 on the v2 speedup and on v2's traced peak over its output bytes; a
 *decide-memory gate*: a warm exact decide's traced peak above its
-steady state at N=1000, in N² float64 units; a *datacenter-traces gate*: coarse population
-generation at N=1000 under the legacy (v1) and batched (v2) profile
-layouts, gated on the v2 speedup and the statistical equivalence of the
-two layouts' populations; an *allocate-sweep gate*: repeated per-period
+steady state at N=1000, in N² float64 units; a *datacenter-traces
+gate*: coarse population generation at N=1000 under the legacy (v1)
+and batched (v2) profile layouts, gated on the v2 speedup and the
+statistical equivalence of the two layouts' populations; an
+*allocate-sweep gate*: repeated per-period
 allocations through one allocator (reindex cache warm, a few cost rows
 changing per period), gated on per-period wall time; and a
 *horizon-percentile gate*: the percentile-mode rolling-horizon cost
@@ -120,8 +121,8 @@ HORIZON_P2_MAX_REL_DEVIATION = 0.10
 DECIDE_MEMORY_VMS = 1000        # W=120, H=3, 5 warm decides, as in tier-1
 # A warm exact decide's traced peak above steady state, in N² float64
 # units; byte counts, so the same on any box.  The one-buffer Eqn-1
-# assembly took peak references from 4.1 to 2.1 and p90 (p2) from 5.6
-# to 3.8 at N=700.
+# assembly took peak references from 4.13 to 2.13 and p90 (p2) from
+# 5.63 to 3.63.
 DECIDE_MEMORY_MAX_PEAK_N2 = 3.5
 DECIDE_MEMORY_MAX_P2_N2 = 4.5
 

@@ -225,9 +225,9 @@ def replay(
                 raise ValueError("checkpointed violation matrix shape mismatch")
             fresh = FrequencyResidency(num_servers, ladder.levels_ghz)
             fresh.restore(state["residency"])
-            # Every field is read here, inside the shared reject path: a
-            # section missing one (an older layout) cold-starts with a
-            # warning instead of raising after the approach is restored.
+            # Every field is read here, inside the shared reject path, so
+            # a section missing one (an older layout) cold-starts with a
+            # warning before the approach is restored.
             return (
                 restored,
                 fresh,

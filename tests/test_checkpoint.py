@@ -606,8 +606,8 @@ class TestReplayResume:
 
     def test_engine_section_missing_a_field_cold_starts_with_warning(self, tmp_path):
         # An engine section written by an older layout, one accumulator
-        # short: rejected like any other unusable state, before the
-        # approach is touched, instead of a KeyError out of replay().
+        # short, is rejected like any other unusable state, before the
+        # approach is restored.
         traces = _traces()
         plain = ReplayConfig(tperiod_s=300.0)
         reference = pickle.dumps(replay(traces, SPEC, 6, _proposed(), plain))
