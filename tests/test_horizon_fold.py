@@ -18,7 +18,13 @@ import numpy as np
 import pytest
 
 from repro.analysis.stats import quantile_fold_fractions
-from repro.core.correlation import CostMatrix, RollingCostHorizon, StreamingCostMatrix
+from repro.core.correlation import (
+    CostMatrix,
+    RollingCostHorizon,
+    StreamingCostMatrix,
+    _cost_matrix_from_parts,
+    _pair_sum_blocks,
+)
 from repro.core.manager import ManagerConfig, PowerManager
 from repro.sim.approaches import ProposedApproach
 from repro.traces.trace import ReferenceSpec, TraceSet
@@ -226,6 +232,144 @@ class TestPairSumBlocks:
         naive = np.array([[np.max(a + b) for b in data] for a in data])
         assert joint.tobytes() == naive.tobytes()
         assert refs.tobytes() == data.max(axis=1).tobytes()
+
+
+# ----------------------------------------------------------------------
+# Horizon parts against a transcribed reference
+# ----------------------------------------------------------------------
+# ``_reference_parts`` transcribes ``CostMatrix.reference_parts`` as it
+# stood when it returned the full N×N joint, each reduced block mirrored
+# into the lower triangle; ``_reference_fold`` transcribes the peak
+# horizon's element-wise-max fold of those parts.  A maximum or a
+# percentile of the same pair sums is the same number whichever layout
+# stores it, so parts and folded cost matrices must match bit for bit.
+def _reference_parts(traces, spec):
+    data = traces.matrix
+    n = traces.num_traces
+    refs = data.max(axis=1) if spec.is_peak else np.percentile(data, spec.percentile, axis=1)
+    joint = np.empty((n, n), dtype=float)
+    for r0, r1, c0, c1, sums in _pair_sum_blocks(data):
+        block = joint[r0:r1, c0:c1]
+        if spec.is_peak:
+            sums.max(axis=2, out=block)
+        else:
+            block[...] = np.percentile(sums, spec.percentile, axis=2)
+        joint[c0:c1, r0:r1] = block.T
+    return refs.astype(float), joint
+
+
+def _reference_fold(parts):
+    refs, joint = parts[0]
+    for other_refs, other_joint in parts[1:]:
+        refs = np.maximum(refs, other_refs)
+        joint = np.maximum(joint, other_joint)
+    return refs, joint
+
+
+def _reference_horizon(windows, periods):
+    """The transcribed peak fold over the last ``periods`` windows, each
+    window's parts laid out on the newest window's names; a VM missing
+    from an older window is -inf there, the identity of the fold."""
+    names = windows[-1].names
+    n = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    parts = []
+    for window in windows[-periods:]:
+        laid_refs = np.full(n, -np.inf)
+        laid_joint = np.full((n, n), -np.inf)
+        keep = [k for k, name in enumerate(window.names) if name in index]
+        if keep:
+            rows = np.array([index[window.names[k]] for k in keep], dtype=np.intp)
+            subset = TraceSet.from_matrix(
+                window.matrix[keep], [window.names[k] for k in keep], window.period_s
+            )
+            refs, joint = _reference_parts(subset, ReferenceSpec())
+            laid_refs[rows] = refs
+            laid_joint[np.ix_(rows, rows)] = joint
+        parts.append((laid_refs, laid_joint))
+    return _reference_fold(parts)
+
+
+#: Scratch budgets: the default, one float32 row (half a float64 row) per
+#: block, and a single pair per block (every row split into columns).
+_SPLITS = ("default", "half-row", "one-pair")
+
+
+def _split_scratch(monkeypatch, split, window):
+    from repro.core import correlation
+
+    budget = {"default": None, "half-row": 4 * window.num_traces * window.num_samples,
+              "one-pair": 1}[split]
+    if budget is not None:
+        monkeypatch.setattr(correlation, "_SCRATCH_BYTES", budget)
+
+
+def _refs_array(matrix):
+    return np.array([matrix.reference(name) for name in matrix.names])
+
+
+class TestHorizonPartsOracle:
+    @pytest.mark.parametrize("split", _SPLITS)
+    @pytest.mark.parametrize("num_vms", [1, 2, 10])
+    @pytest.mark.parametrize("spec", [ReferenceSpec(), ReferenceSpec(90.0)], ids=["peak", "p90"])
+    def test_reference_parts_match_transcription(self, spec, num_vms, split, rng, monkeypatch):
+        window = _window(rng, NAMES[:num_vms])
+        expected_refs, expected_joint = _reference_parts(window, spec)
+        _split_scratch(monkeypatch, split, window)
+        refs, joint = CostMatrix.reference_parts(window, spec)
+        assert refs.dtype == joint.dtype == np.float64
+        assert refs.tobytes() == expected_refs.tobytes()
+        assert joint.shape == expected_joint.shape
+        assert joint.tobytes() == expected_joint.tobytes()
+
+    @pytest.mark.parametrize("split", _SPLITS)
+    @pytest.mark.parametrize("num_vms", [1, 2, 10])
+    @pytest.mark.parametrize("spec", [ReferenceSpec(), ReferenceSpec(90.0)], ids=["peak", "p90"])
+    def test_horizon_matches_transcribed_fold(self, spec, num_vms, split, rng, monkeypatch):
+        windows = [_window(rng, NAMES[:num_vms]) for _ in range(5)]
+        expected = []
+        for period in range(len(windows)):
+            recent = windows[max(0, period - 2) : period + 1]
+            if spec.is_peak:
+                refs, joint = _reference_fold([_reference_parts(w, spec) for w in recent])
+            else:
+                refs, joint = _reference_parts(_concat(recent), spec)
+            expected.append((refs, _cost_matrix_from_parts(refs, joint)))
+        _split_scratch(monkeypatch, split, windows[0])
+        horizon = RollingCostHorizon(spec, horizon_periods=3)
+        for window, (refs, costs) in zip(windows, expected, strict=True):
+            matrix = horizon.push(window)
+            assert matrix.as_array().tobytes() == costs.tobytes()
+            assert _refs_array(matrix).tobytes() == refs.tobytes()
+
+    @pytest.mark.parametrize("split", _SPLITS)
+    def test_peak_membership_matches_horizon_rebuilt_from_windows(self, split, rng, monkeypatch):
+        """Arrivals and departures, down to one VM and back, against the
+        transcribed fold over each window's own members."""
+        steps = [
+            ((), ()),
+            ((), ()),
+            (("g", "h"), ("b", "e")),
+            ((), ("a",)),
+            (("i",), ()),
+            ((), ("c", "f", "g", "h", "i")),
+            (("j", "k"), ()),
+            (("l",), ("d", "j")),
+        ]
+        _split_scratch(monkeypatch, split, _window(rng, NAMES))
+        names = ("a", "b", "c", "d", "e", "f")
+        horizon = RollingCostHorizon(ReferenceSpec(), horizon_periods=3)
+        windows = []
+        for added, removed in steps:
+            horizon.apply_membership(added=added, removed=removed)
+            names = tuple(name for name in names if name not in removed) + added
+            windows.append(_window(rng, names))
+            matrix = horizon.push(windows[-1])
+            refs, joint = _reference_horizon(windows, 3)
+            costs = _cost_matrix_from_parts(refs, joint)
+            assert matrix.names == names
+            assert matrix.as_array().tobytes() == costs.tobytes()
+            assert _refs_array(matrix).tobytes() == refs.tobytes()
 
 
 class TestStreamingFoldWindow:
