@@ -34,7 +34,9 @@ Two candidate-evaluation strategies implement line 11:
   below the cost resolution); the equivalence tests randomize over
   instances to check it.
 
-Two further batching layers sit on top of the indexed path (PR 3):
+The indexed path gathers ``cost_array`` into canonical slot order once
+per call (an O(N²) gather, dropped when the call returns; the allocator
+keeps nothing between calls but its config), and batches its sweeps:
 
 * **Per-bin cost caching + TH-level sweep batching.**  A bin's
   prospective candidate costs depend only on its membership, so each bin
@@ -49,14 +51,6 @@ Two further batching layers sit on top of the indexed path (PR 3):
   ``threshold *= alpha``) and the sweep accounting against
   ``max_sweeps`` are replicated exactly, so placements are identical to
   the level-by-level scalar loop.
-* **Cross-period reuse of unchanged rows.**  The indexed path permutes
-  ``cost_array`` into canonical slot order, an O(N²) gather per call.
-  The allocator instance caches that permuted matrix together with a
-  snapshot of the input; when the next period's call carries the same
-  VM order (e.g. a streaming peak-mode matrix where most running maxima
-  did not move), only the rows that actually changed are re-gathered.
-  The cache is self-validating (exact value comparison against the
-  snapshot), so reuse can never change a placement.
 
 Interpretation notes (the paper gives the mechanism, not every corner):
 
@@ -395,127 +389,24 @@ class _IndexedCandidates:
         return self._names[member]
 
 
-class _ReindexCache:
-    """Cross-period cache of the slot-permuted cost matrix.
-
-    ``input_copy`` snapshots the caller's dense matrix; ``permuted`` is
-    its gather into canonical slot order.  When the next period arrives
-    with the same slot order, only rows whose input values actually
-    changed are re-gathered.
-
-    The fingerprint that authorises reuse is the full value comparison
-    against ``input_copy`` — a *different* trace population of the same
-    shape (same names, same order) therefore re-gathers every row whose
-    costs differ and can never serve another population's entries.
-    ``permuted`` is kept read-only outside the re-gather so that no
-    caller holding the returned array can corrupt the cache in place
-    (a mutation would otherwise go undetected forever, because the
-    staleness check compares inputs, not outputs).
-    """
-
-    __slots__ = ("key", "rows", "input_copy", "permuted")
-
-    def __init__(
-        self, key: tuple, rows: np.ndarray, input_copy: np.ndarray, permuted: np.ndarray
-    ) -> None:
-        self.key = key
-        self.rows = rows
-        self.input_copy = input_copy
-        self.permuted = permuted
-
-
 class CorrelationAwareAllocator:
     """The proposed placement heuristic (Fig 2, ALLOCATE phase)."""
 
     def __init__(self, config: AllocationConfig | None = None) -> None:
         self._config = config or AllocationConfig()
-        self._reindex_cache: _ReindexCache | None = None
 
     @property
     def config(self) -> AllocationConfig:
         """The active tunables."""
         return self._config
 
-    def reset_cache(self) -> None:
-        """Drop the cross-period reindex cache (fresh deployment)."""
-        self._reindex_cache = None
-
-    def apply_membership(
-        self, added: Sequence[str] = (), removed: Sequence[str] = ()
-    ) -> None:
-        """Adjust the reindex cache to a membership delta.
-
-        The cache is keyed by the *full* canonical order, so its
-        invalidation granularity is all-or-nothing: a departure makes
-        the cached permutation pin a dead VM's rows, so the cache is
-        dropped; an arrival merely means the next :meth:`allocate` sees
-        a longer order, misses the key and rebuilds cold — the cache is
-        left in place in case the arrival is retired again before the
-        next allocation.  A churn period therefore pays one cold O(N²)
-        re-gather; static periods keep the warm row-diff path.
-        """
-        cache = self._reindex_cache
-        if cache is None:
-            return
-        removed_set = set(removed)
-        if removed_set and not removed_set.isdisjoint(cache.key[0]):
-            self._reindex_cache = None
-
-    def snapshot(self) -> dict:
-        """Serializable copy of the cross-period reindex cache.
-
-        Capturing the cache keeps a resumed replay byte-identical *and*
-        equally fast: the warm-path row reuse survives the restore.
-        """
-        cache = self._reindex_cache
-        if cache is None:
-            return {"reindex_cache": None}
-        return {
-            "reindex_cache": {
-                "key": cache.key,
-                "rows": cache.rows.copy(),
-                "input_copy": cache.input_copy.copy(),
-                "permuted": cache.permuted.copy(),
-            }
-        }
-
-    def restore(self, state: dict) -> None:
-        """Reinstall a :meth:`snapshot` (re-applies the read-only guard).
-
-        ``ascontiguousarray`` with explicit dtypes rather than
-        ``np.array``: unpickled arrays carry non-singleton dtype objects
-        that a plain copy would inherit, and a later re-snapshot of this
-        allocator alongside other components would then pickle to
-        different bytes than a never-restored twin's.
-        """
-        payload = state["reindex_cache"]
-        if payload is None:
-            self._reindex_cache = None
-            return
-        permuted = np.ascontiguousarray(payload["permuted"], dtype=float)
-        permuted.flags.writeable = False
-        self._reindex_cache = _ReindexCache(
-            payload["key"],
-            np.ascontiguousarray(payload["rows"], dtype=np.intp),
-            np.ascontiguousarray(payload["input_copy"], dtype=float),
-            permuted,
-        )
-
-    def _permuted_costs(
-        self,
+    @staticmethod
+    def _slot_rows(
         order: Sequence[str],
         cost_array: np.ndarray,
         name_index: Mapping[str, int],
-    ) -> np.ndarray:
-        """``cost_array`` gathered into canonical slot order, with reuse.
-
-        Successive periods usually re-allocate the same population in a
-        similar order over a matrix where many rows did not move (e.g. a
-        streaming peak-mode matrix between new joint peaks).  The gather
-        is O(N²) random access; the value comparison that detects
-        unchanged rows is O(N²) sequential reads, after which only the
-        changed rows and columns are re-gathered.
-        """
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The validated ``cost_array`` and the row of each slot in ``order``."""
         cost_array = np.asarray(cost_array, dtype=float)
         if cost_array.ndim != 2 or cost_array.shape[0] != cost_array.shape[1]:
             raise ValueError(f"cost_array must be square, got shape {cost_array.shape}")
@@ -525,32 +416,7 @@ class CorrelationAwareAllocator:
         rows = np.array([name_index[vm] for vm in order], dtype=np.intp)
         if rows.size and (rows.min() < 0 or rows.max() >= cost_array.shape[0]):
             raise ValueError("name_index points outside cost_array")
-
-        key = (tuple(order), cost_array.shape)
-        cache = self._reindex_cache
-        if (
-            cache is not None
-            and cache.key == key
-            and np.array_equal(cache.rows, rows)
-        ):
-            changed = np.flatnonzero((cost_array != cache.input_copy).any(axis=1))
-            if changed.size:
-                cache.input_copy[changed] = cost_array[changed]
-                # A changed element in input row ``a`` can only surface in
-                # permuted rows whose slot maps to ``a`` (cell [i, j] reads
-                # input row rows[i]), so re-gathering those rows covers
-                # every stale cell — no column pass needed.
-                changed_slots = np.flatnonzero(np.isin(rows, changed))
-                cache.permuted.flags.writeable = True
-                cache.permuted[changed_slots, :] = cost_array[
-                    np.ix_(rows[changed_slots], rows)
-                ]
-                cache.permuted.flags.writeable = False
-            return cache.permuted
-        permuted = np.ascontiguousarray(cost_array[np.ix_(rows, rows)])
-        permuted.flags.writeable = False
-        self._reindex_cache = _ReindexCache(key, rows, cost_array.copy(), permuted)
-        return permuted
+        return cost_array, rows
 
     def allocate(
         self,
@@ -627,9 +493,9 @@ class CorrelationAwareAllocator:
         if cost_array is not None:
             if name_index is None:
                 raise ValueError("cost_array requires a name_index mapping")
-            permuted = self._permuted_costs(order, cost_array, name_index)
+            cost_array, rows = self._slot_rows(order, cost_array, name_index)
             candidates: _StringCandidates | _IndexedCandidates = _IndexedCandidates(
-                order, refs, permuted, resolution
+                order, refs, cost_array[np.ix_(rows, rows)], resolution
             )
         else:
             candidates = _StringCandidates(order, refs, cost_fn, resolution)
@@ -661,9 +527,10 @@ class CorrelationAwareAllocator:
         The incremental arrival/departure path: the surviving bins'
         Eqn-2 state (``R_S`` and the weighted pair sum ``T_S``) is
         reconstructed from ``placement`` over the same canonical slot
-        order :meth:`allocate` used, so the slot-permuted cost matrix
-        comes straight out of the cross-period reindex cache — no O(N²)
-        re-gather, no sweep loop.  Each evacuee (descending reference,
+        order :meth:`allocate` used, reading ``cost_array`` through the
+        slot→row map — the same values in the same order as the
+        slot-order matrix :meth:`allocate` gathers, without an O(N²)
+        gather or a sweep loop.  Each evacuee (descending reference,
         then name) then joins the surviving bin that *maximises* the
         bucketed prospective Eqn-2 cost among the bins it fits
         (ties: larger remaining capacity, then lower index); when no
@@ -698,11 +565,8 @@ class CorrelationAwareAllocator:
             return placement
 
         refs = {vm: min(max(float(references[vm]), 0.0), capacity) for vm in vm_ids}
-        # Same canonical order as allocate() over the same population and
-        # references — the reindex cache key matches, so this is a cache
-        # hit whenever evacuate() follows the allocate() of the period.
         order = sorted(vm_ids, key=lambda vm: (-refs[vm], vm))
-        permuted = self._permuted_costs(order, cost_array, name_index)
+        cost_array, rows = self._slot_rows(order, cost_array, name_index)
         r = np.array([refs[vm] for vm in order], dtype=float)
         slot_of = {vm: slot for slot, vm in enumerate(order)}
 
@@ -718,7 +582,7 @@ class CorrelationAwareAllocator:
             slot = slot_of[vm]
             if bin_.members:
                 members = np.asarray(bin_.members, dtype=np.intp)
-                row = permuted[slot, members]
+                row = cost_array[rows[slot], rows[members]]
                 bin_.pair_weight += float(row @ r[members]) + r[slot] * float(row.sum())
             bin_.members.append(slot)
             bin_.remaining -= r[slot]
@@ -739,7 +603,7 @@ class CorrelationAwareAllocator:
                     continue
                 if bin_.members:
                     members = np.asarray(bin_.members, dtype=np.intp)
-                    row = permuted[slot, members]
+                    row = cost_array[rows[slot], rows[members]]
                     cross = float(row @ r[members]) + demand * float(row.sum())
                     total = bin_.ref_sum + demand
                     cost = (
@@ -765,7 +629,7 @@ class CorrelationAwareAllocator:
             bin_ = best_bin
             if bin_.members:
                 members = np.asarray(bin_.members, dtype=np.intp)
-                row = permuted[slot, members]
+                row = cost_array[rows[slot], rows[members]]
                 bin_.pair_weight += float(row @ r[members]) + demand * float(row.sum())
             bin_.members.append(slot)
             bin_.remaining -= demand
@@ -979,26 +843,19 @@ class ExactAllocator:
     def apply_membership(
         self, added: Sequence[str] = (), removed: Sequence[str] = ()
     ) -> None:
-        """Hand a membership delta to the reindex cache and the horizon."""
-        self._allocator.apply_membership(added=added, removed=removed)
+        """Hand a membership delta to the horizon."""
         self._horizon.apply_membership(added=added, removed=removed)
 
     def reset_cache(self) -> None:
-        """Drop the reindex cache, the horizon and the latest matrix."""
-        self._allocator.reset_cache()
+        """Drop the horizon and the latest matrix."""
         self._horizon.reset()
         self._last_matrix = None
 
     def snapshot(self) -> dict:
         """Serializable copy of all cross-period state (for checkpoints)."""
-        return {
-            "allocator": self._allocator.snapshot(),
-            "horizon": self._horizon.snapshot(),
-            "last_matrix": self._last_matrix,
-        }
+        return {"horizon": self._horizon.snapshot(), "last_matrix": self._last_matrix}
 
     def restore(self, state: dict) -> None:
         """Reinstall a :meth:`snapshot` taken from an identical config."""
-        self._allocator.restore(state["allocator"])
         self._horizon.restore(state["horizon"])
         self._last_matrix = state["last_matrix"]

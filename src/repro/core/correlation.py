@@ -95,6 +95,79 @@ def _cost_matrix_from_parts(singles: np.ndarray, joint: np.ndarray) -> np.ndarra
     return matrix
 
 
+def _symmetric_joint(singles: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The symmetric N×N joint-reference matrix of condensed pair references.
+
+    ``pairs`` holds the joint reference of pair ``(i, j > i)`` at
+    ``i*n - i*(i+1)/2 + (j - i - 1)``, the ``np.triu_indices(n, 1)``
+    order every horizon part is stored in; each row slice is written to
+    its row and mirrored into its column, so no N² index arrays are
+    built.  The diagonal is a VM's joint reference with itself, twice its
+    own (Eqn 1 overwrites it with :data:`NEUTRAL_COST` either way).
+    """
+    n = singles.size
+    joint = np.empty((n, n), dtype=float)
+    joint.flat[:: n + 1] = 2.0 * singles
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        row = pairs[start:stop]
+        joint[i, i + 1 :] = row
+        joint[i + 1 :, i] = row
+        start = stop
+    return joint
+
+
+def _store_condensed(condensed: np.ndarray, n: int, r0: int, c0: int, block: np.ndarray) -> None:
+    """Copy the above-diagonal cells of a reduced pair block into their
+    condensed rows.
+
+    ``block`` covers rows ``r0..`` and columns ``c0..`` of the N×N pair
+    grid.  Row ``i``'s pairs ``(i, j > i)`` are contiguous in condensed
+    order: pair ``(i, j)`` sits at ``i*n - i*(i+1)/2 + (j - i - 1)``.
+    """
+    c1 = c0 + block.shape[1]
+    for i in range(r0, r0 + block.shape[0]):
+        lo = max(c0, i + 1)
+        if lo < c1:
+            offset = i * n - i * (i + 1) // 2 - i - 1
+            condensed[offset + lo : offset + c1] = block[i - r0, lo - c0 :]
+
+
+def _pair_map(mapping: np.ndarray, old_n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Old condensed index of each new pair ``(rows[k], cols[k])``.
+
+    ``mapping[new] = old | -1`` (``-1`` marks a fresh VM); a pair that
+    involves a fresh VM maps to ``-1``.
+    """
+    a = mapping[rows]
+    b = mapping[cols]
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    pair_map = lo * old_n - lo * (lo + 1) // 2 + (hi - lo - 1)
+    pair_map[(a < 0) | (b < 0)] = -1
+    return pair_map
+
+
+def _fold_max(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Element-wise maximum of ``parts`` (the first part itself when alone)."""
+    if len(parts) == 1:
+        return parts[0]
+    folded = np.maximum(parts[0], parts[1])
+    for other in parts[2:]:
+        np.maximum(folded, other, out=folded)
+    return folded
+
+
+def _seeded_gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[index]``, with ``-inf`` (the identity of the element-wise
+    max fold) wherever ``index`` is ``-1``."""
+    hit = index >= 0
+    out = np.full(index.size, -np.inf)
+    out[hit] = values[index[hit]]
+    return out
+
+
 def _build_index(names: Sequence[str]) -> dict[str, int]:
     return {name: i for i, name in enumerate(names)}
 
@@ -179,39 +252,40 @@ class CostMatrix:
         pass (see :func:`_pair_sum_blocks`).
         """
         spec = spec or ReferenceSpec()
-        refs, joint = cls.reference_parts(traces, spec)
+        refs, pairs = cls.reference_parts(traces, spec)
+        joint = _symmetric_joint(refs, pairs)
+        del pairs  # only the N×N joint is read from here on
         return cls.from_parts(traces.names, refs, joint, spec)
 
     @classmethod
     def reference_parts(
         cls, traces: TraceSet, spec: ReferenceSpec | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The per-VM reference vector and joint-reference matrix.
+        """The per-VM reference vector and the condensed joint references.
 
-        These are the Eqn-1 inputs *before* the cost division.  Exposed
-        separately because peak references decompose over window
-        concatenation — ``max`` over ``W1 || W2`` is the element-wise
-        ``max`` of the per-window reductions, exactly — which lets a
-        rolling-horizon caller fold cached per-window parts instead of
-        re-reducing the whole horizon every period (see
-        :class:`RollingCostHorizon`).
+        These are the Eqn-1 inputs *before* the cost division: ``refs``
+        is ``(n,)`` and ``pairs`` is the condensed upper triangle
+        ``(n * (n - 1) / 2,)`` in ``np.triu_indices(n, 1)`` order, as in
+        :meth:`marker_parts` (the joint matrix is symmetric, since
+        ``x_i + x_j`` is ``x_j + x_i`` bit for bit).  Exposed separately
+        because peak references decompose over window concatenation —
+        ``max`` over ``W1 || W2`` is the element-wise ``max`` of the
+        per-window reductions, exactly — which lets a rolling-horizon
+        caller fold cached per-window parts instead of re-reducing the
+        whole horizon every period (see :class:`RollingCostHorizon`).
         """
         spec = spec or ReferenceSpec()
         data = traces.matrix
         n = traces.num_traces
         refs = data.max(axis=1) if spec.is_peak else np.percentile(data, spec.percentile, axis=1)
-        # Only the upper triangle (plus diagonal) is reduced; the matrix
-        # is symmetric (x_i + x_j is x_j + x_i bit for bit), so each block
-        # is mirrored into the lower triangle as it is reduced.
-        joint = np.empty((n, n), dtype=float)
-        for r0, r1, c0, c1, sums in _pair_sum_blocks(data):
-            block = joint[r0:r1, c0:c1]
+        pairs = np.empty(n * (n - 1) // 2, dtype=float)
+        for r0, _r1, c0, _c1, sums in _pair_sum_blocks(data):
             if spec.is_peak:
-                sums.max(axis=2, out=block)
+                block = sums.max(axis=2)
             else:
-                block[...] = np.percentile(sums, spec.percentile, axis=2)
-            joint[c0:c1, r0:r1] = block.T
-        return refs.astype(float), joint
+                block = np.percentile(sums, spec.percentile, axis=2)
+            _store_condensed(pairs, n, r0, c0, block)
+        return refs.astype(float), pairs
 
     @classmethod
     def marker_parts(
@@ -261,16 +335,9 @@ class CostMatrix:
         # of the dominant sort, with rounding far below the gated fold
         # error (see the docstring).
         narrow = data.astype(np.float32)
-        for r0, r1, c0, c1, sums in _pair_sum_blocks(narrow):
+        for r0, _r1, c0, _c1, sums in _pair_sum_blocks(narrow):
             sums.sort(axis=2)
-            block = _sorted_markers(sums, fractions)
-            # Row i's pairs (i, j > i) are contiguous in condensed order:
-            # pair (i, j) sits at i*n - i*(i+1)/2 + (j - i - 1).
-            for i in range(r0, r1):
-                lo = max(c0, i + 1)
-                if lo < c1:
-                    offset = i * n - i * (i + 1) // 2 - i - 1
-                    pair_markers[offset + lo : offset + c1] = block[i - r0, lo - c0 :]
+            _store_condensed(pair_markers, n, r0, c0, _sorted_markers(sums, fractions))
         return single_markers, pair_markers, samples
 
     @classmethod
@@ -281,7 +348,8 @@ class CostMatrix:
         joint: np.ndarray,
         spec: ReferenceSpec | None = None,
     ) -> CostMatrix:
-        """Assemble a matrix from precomputed :meth:`reference_parts`."""
+        """Assemble a matrix from per-VM references and the symmetric
+        N×N joint-reference matrix (only read)."""
         spec = spec or ReferenceSpec()
         refs = np.asarray(references, dtype=float)
         matrix = _cost_matrix_from_parts(refs, joint)
@@ -590,14 +658,9 @@ class StreamingCostMatrix:
                     # VMs), so every pair stream starts fresh.
                     self._pair_est = BatchPSquare(q, self._rows.size)
                 else:
-                    a = mapping[self._rows]
-                    b = mapping[self._cols]
-                    lo = np.minimum(a, b)
-                    hi = np.maximum(a, b)
-                    # Condensed upper-triangle index in the *old* layout.
-                    pair_map = lo * old_n - lo * (lo + 1) // 2 + (hi - lo - 1)
-                    pair_map[(a < 0) | (b < 0)] = -1
-                    self._pair_est.remap_streams(pair_map)
+                    self._pair_est.remap_streams(
+                        _pair_map(mapping, old_n, self._rows, self._cols)
+                    )
         self._cache_count = -1
         self._single_cache = None
         self._pair_cache = None
@@ -765,9 +828,10 @@ class RollingCostHorizon:
     worth of reduction instead of a whole-horizon rebuild:
 
     * **Peak references** (any mode): each window's
-      :meth:`CostMatrix.reference_parts` are cached and folded with
-      element-wise maxima — *bit-exact* against rebuilding the
-      concatenated horizon, because peaks decompose over concatenation.
+      :meth:`CostMatrix.reference_parts` (per-VM references and condensed
+      pair references) are cached and folded with element-wise maxima —
+      *bit-exact* against rebuilding the concatenated horizon, because
+      peaks decompose over concatenation.
     * **Percentile references, ``mode="exact"``**: percentiles do not
       decompose, so the raw windows are kept in a preallocated ring
       buffer and the joint matrix is rebuilt from the concatenation
@@ -781,6 +845,12 @@ class RollingCostHorizon:
       period like the peak path, *approximate but CI-gated*: the
       per-entry deviation from the exact rebuild is bounded by the
       equivalence tests and the ``horizon_percentile`` benchmark gate.
+
+    Both folding modes store pair state as condensed upper triangles and
+    expand the folded result into the symmetric N×N joint once per
+    period.  Once the horizon is full, the oldest part is evicted before
+    the new window is reduced, so a push holds ``horizon_periods`` parts,
+    never one more.
 
     A change in the member names (or window geometry, in exact mode)
     restarts the horizon from the incoming window alone — cached parts
@@ -822,7 +892,7 @@ class RollingCostHorizon:
                 np.argmin(np.abs(self._fractions - self._spec.percentile / 100.0))
             )
         self._names: tuple[str, ...] | None = None
-        # Peak mode: cached per-window (refs, joint) reference parts.
+        # Peak mode: cached per-window (refs, condensed pairs) reference parts.
         self._parts: list[tuple[np.ndarray, np.ndarray]] = []
         # p2 mode: cached per-window (single, pair, count) marker states.
         self._marker_parts: list[tuple[np.ndarray, np.ndarray, int]] = []
@@ -857,54 +927,48 @@ class RollingCostHorizon:
             return self._push_markers(window)
         return CostMatrix.from_traces(self._concatenated(window), self._spec)
 
+    def _make_room(self, parts: list, names: tuple[str, ...]) -> None:
+        """Ready ``parts`` for the next window's part.
+
+        A new population restarts the horizon; otherwise, once the
+        horizon is full, the oldest part goes *before* the new window is
+        reduced.  The window has already been validated, so the
+        reduction cannot fail on its values.
+        """
+        if self._names != names:
+            self._names = names
+            parts.clear()
+        del parts[: max(0, len(parts) + 1 - self._periods)]
+
     def _push_peak(self, window: TraceSet) -> CostMatrix:
         """Fold cached per-window reference parts (bit-exact for peaks)."""
-        if self._names != window.names:
-            self._names = window.names
-            self._parts.clear()
+        self._make_room(self._parts, window.names)
         self._parts.append(CostMatrix.reference_parts(window, self._spec))
-        if len(self._parts) > self._periods:
-            del self._parts[: len(self._parts) - self._periods]
-        refs, joint = self._parts[0]
-        for other_refs, other_joint in self._parts[1:]:
-            refs = np.maximum(refs, other_refs)
-            joint = np.maximum(joint, other_joint)
+        refs = _fold_max([part[0] for part in self._parts])
+        # The folded pairs are a temporary of this call: freed once the
+        # joint is built, before the Eqn-1 assembly allocates its matrix.
+        joint = _symmetric_joint(refs, _fold_max([part[1] for part in self._parts]))
         return CostMatrix.from_parts(window.names, refs, joint, self._spec)
 
     def _push_markers(self, window: TraceSet) -> CostMatrix:
         """Fold cached per-window marker states (approximate, gated)."""
-        if self._names != window.names:
-            self._names = window.names
-            self._marker_parts.clear()
-        self._marker_parts.append(
-            CostMatrix.marker_parts(window, self._spec, self._fractions)
-        )
-        if len(self._marker_parts) > self._periods:
-            del self._marker_parts[: len(self._marker_parts) - self._periods]
-        q = self._spec.percentile
-        if len(self._marker_parts) == 1:
-            singles, pairs, _count = self._marker_parts[0]
+        parts = self._marker_parts
+        self._make_room(parts, window.names)
+        parts.append(CostMatrix.marker_parts(window, self._spec, self._fractions))
+        if len(parts) == 1:
+            singles, pairs, _count = parts[0]
             refs = singles[:, self._target].copy()
-            folded_pairs = pairs[:, self._target].copy()
+            joint = _symmetric_joint(refs, pairs[:, self._target])
         else:
-            counts = np.array([part[2] for part in self._marker_parts], dtype=float)
+            q = self._spec.percentile
+            counts = np.array([part[2] for part in parts], dtype=float)
             # Lists, not stacks: the fold reads each state a stream chunk
             # at a time.
-            refs = fold_marker_states(
-                [part[0] for part in self._marker_parts], counts, q, self._fractions
+            refs = fold_marker_states([part[0] for part in parts], counts, q, self._fractions)
+            joint = _symmetric_joint(
+                refs,
+                fold_marker_states([part[1] for part in parts], counts, q, self._fractions),
             )
-            folded_pairs = fold_marker_states(
-                [part[1] for part in self._marker_parts], counts, q, self._fractions
-            )
-        n = len(window.names)
-        joint = np.empty((n, n), dtype=float)
-        # The diagonal joint reference of a VM with itself is exactly
-        # twice its own reference (the cost matrix overwrites the
-        # diagonal with NEUTRAL_COST either way).
-        np.fill_diagonal(joint, 2.0 * refs)
-        rows, cols = np.triu_indices(n, k=1)
-        joint[rows, cols] = folded_pairs
-        joint[cols, rows] = folded_pairs
         return CostMatrix.from_parts(window.names, refs, joint, self._spec)
 
     def _concatenated(self, window: TraceSet) -> TraceSet:
@@ -947,10 +1011,11 @@ class RollingCostHorizon:
         the horizon *folds* across the membership change instead of
         restarting from scratch:
 
-        * **Peak parts**: exact for both directions.  Departed rows and
-          columns are dropped; arrivals are seeded at ``-inf``, which
-          is the identity of the element-wise-max fold, so a newcomer
-          simply contributes nothing before its first window.
+        * **Peak parts**: exact for both directions.  Departed VMs and
+          their pairs are dropped; arrivals and their pairs are seeded
+          at ``-inf``, which is the identity of the element-wise-max
+          fold, so a newcomer simply contributes nothing before its
+          first window.
         * **Percentile state (exact ring / p2 markers)**: removals
           shrink the cached samples/markers exactly (percentile of a
           row subset is unaffected by dropped rows).  Arrivals restart
@@ -987,23 +1052,17 @@ class RollingCostHorizon:
             return
         old_n = len(self._names)
         m = len(new_names)
-        if self._spec.is_peak:
-            parts = []
-            for refs, joint in self._parts:
-                refs2 = np.full(m, -np.inf)
-                refs2[: keep.size] = refs[keep]
-                joint2 = np.full((m, m), -np.inf)
-                joint2[: keep.size, : keep.size] = joint[np.ix_(keep, keep)]
-                parts.append((refs2, joint2))
-            self._parts = parts
-        elif self._mode == "p2":
+        if self._spec.is_peak or self._mode == "p2":
             if added:
                 self._marker_parts.clear()
-            elif keep.size != old_n:
-                new_rows, new_cols = np.triu_indices(m, k=1)
-                lo = keep[new_rows]
-                hi = keep[new_cols]
-                pair_map = lo * old_n - lo * (lo + 1) // 2 + (hi - lo - 1)
+            if self._parts or self._marker_parts:
+                mapping = np.full(m, -1, dtype=np.intp)
+                mapping[: keep.size] = keep
+                pair_map = _pair_map(mapping, old_n, *np.triu_indices(m, k=1))
+                self._parts = [
+                    (_seeded_gather(refs, mapping), _seeded_gather(pairs, pair_map))
+                    for refs, pairs in self._parts
+                ]
                 self._marker_parts = [
                     (single[keep], pair[pair_map], count)
                     for single, pair, count in self._marker_parts
@@ -1057,15 +1116,31 @@ class RollingCostHorizon:
         # horizon must re-snapshot to the same bytes as a never-restored
         # twin even when the snapshot crossed a serializer that widened
         # or narrowed dtypes (the sharded-restore bug of the same shape).
-        self._names = None if state["names"] is None else tuple(state["names"])
-        self._parts = [
-            (np.array(refs, dtype=float), np.array(joint, dtype=float))
-            for refs, joint in state["parts"]
+        names = None if state["names"] is None else tuple(state["names"])
+        parts = [
+            (np.array(refs, dtype=float), np.array(pairs, dtype=float))
+            for refs, pairs in state["parts"]
         ]
-        self._marker_parts = [
+        marker_parts = [
             (np.array(single, dtype=float), np.array(pair, dtype=np.float32), int(count))
             for single, pair, count in state["marker_parts"]
         ]
+        # Each cached part must cover exactly the snapshot's names: a part
+        # of another layout (e.g. an N×N joint) would otherwise fail deep
+        # inside a later fold.
+        n = 0 if names is None else len(names)
+        num_pairs = n * (n - 1) // 2
+        markers = 0 if self._fractions is None else self._fractions.size
+        if any(
+            refs.shape != (n,) or pairs.shape != (num_pairs,) for refs, pairs in parts
+        ) or any(
+            single.shape != (n, markers) or pair.shape != (num_pairs, markers)
+            for single, pair, _count in marker_parts
+        ):
+            raise ValueError("snapshot horizon parts do not match its names")
+        self._names = names
+        self._parts = parts
+        self._marker_parts = marker_parts
         self._buffer = (
             None if state["buffer"] is None else np.array(state["buffer"], dtype=float)
         )

@@ -182,12 +182,10 @@ class PowerManager:
         On a fresh manager this is pure bookkeeping (all layer caches
         are empty), so a static population driven through
         ``admit()``-then-:meth:`decide` is bit-identical to the batch
-        path.  Mid-stream, the allocator invalidates exactly what the
-        arrival touches: the exact backend keeps its reindex cache (the
-        longer canonical order misses the key on its own) and extends
-        its rolling horizon's cached parts so history for surviving VMs
-        keeps folding; the sharded tier invalidates only the shards the
-        plan maps the arrivals to.
+        path.  Mid-stream, the exact backend extends its rolling
+        horizon's cached parts so history for surviving VMs keeps
+        folding; the sharded tier re-plans every window and keeps
+        nothing to adjust.
 
         Admitted VMs are expected to appear in subsequent
         :meth:`decide` windows as survivors (current relative order)
@@ -209,9 +207,8 @@ class PowerManager:
         """Unregister departing VMs from every stateful layer.
 
         Drops the departed VMs' prediction histories and hands the
-        delta to the allocator so only the state the departure touches
-        is invalidated (sibling shards and surviving horizon windows
-        stay warm).
+        delta to the allocator, so the surviving VMs' horizon windows
+        stay warm.
         """
         ids = (vm_ids,) if isinstance(vm_ids, str) else tuple(vm_ids)
         if not ids:
@@ -306,9 +303,9 @@ class PowerManager:
         """Serializable copy of the manager's mutable state.
 
         Covers the per-VM reference histories and the allocator's
-        cross-period state (exact: reindex cache, rolling-horizon ring
-        and latest cost matrix; sharded: plan and per-shard caches) —
-        everything :meth:`decide` reads across periods.  The (stateless)
+        cross-period state (exact: rolling-horizon ring and latest cost
+        matrix; sharded: the latest plan) — everything :meth:`decide`
+        and :meth:`evacuate` read across periods.  The (stateless)
         predictor and the frozen config are reconstructed, not
         serialized.
         """
@@ -329,10 +326,9 @@ class PowerManager:
     def reset(self) -> None:
         """Drop all accumulated history (fresh deployment).
 
-        Also clears the allocator's cross-period state: its caches are
-        self-validating (a stale one can never change a placement), but
-        a fresh deployment should not pin the previous population's
-        O(N²) snapshot in memory.
+        Also clears the allocator's cross-period state (horizon parts,
+        latest cost matrix or plan), so a fresh deployment starts cold
+        and does not pin the previous population's O(N²) state.
         """
         self._refs.reset()
         self._members.clear()

@@ -37,7 +37,7 @@ anchors hold regardless of configuration:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -400,15 +400,6 @@ class _ShardPlan:
     def num_shards(self) -> int:
         return len(self.matrices)
 
-    def shards_of(self, vms: Iterable[str]) -> set[int]:
-        """The shards owning ``vms`` (unknown names are ignored)."""
-        shards: set[int] = set()
-        for vm in vms:
-            index = self.index.get(vm)
-            if index is not None:
-                shards.add(int(self.labels[index]))
-        return shards
-
 
 class ShardedCostView:
     """Pairwise Eqn-1 cost lookups over a sharded plan.
@@ -453,12 +444,9 @@ class ShardedAllocator:
 
     * Pairwise costs come from the current window alone, per shard,
       never as one N×N matrix (:class:`ShardedCostView`).
-    * Per-shard :class:`CorrelationAwareAllocator` instances persist
-      across periods, so each shard's cross-period reindex cache warms
-      exactly as in the exact path.  Population swaps and cross-shard
-      evacuations invalidate the affected *per-shard* caches — dropping
-      only a global cache would leave stale per-shard pins (the PR-6/7
-      interaction this class exists to close).
+    * The only cross-period state is the latest plan, which every
+      :meth:`allocate` replaces, so a membership delta has nothing to
+      invalidate.
     """
 
     def __init__(
@@ -470,8 +458,7 @@ class ShardedAllocator:
         self._allocation = allocation or AllocationConfig()
         self._sharding = sharding or ShardingConfig()
         self._spec = reference or ReferenceSpec()
-        self._allocators: dict[int, CorrelationAwareAllocator] = {}
-        self._population: tuple[str, ...] | None = None
+        self._allocator = CorrelationAwareAllocator(self._allocation)
         self._plan: _ShardPlan | None = None
 
     @property
@@ -494,59 +481,13 @@ class ShardedAllocator:
         return ShardedCostView(self._plan, self._spec)
 
     def reset_cache(self) -> None:
-        """Drop every per-shard reindex cache and the current plan."""
-        for allocator in self._allocators.values():
-            allocator.reset_cache()
-        self._allocators = {}
+        """Drop the current plan."""
         self._plan = None
-        self._population = None
 
     def apply_membership(
         self, added: Sequence[str] = (), removed: Sequence[str] = ()
     ) -> None:
-        """Adjust cross-period state to a membership delta.
-
-        Only the shards a delta actually touches are invalidated: the
-        reindex caches of shards holding a departed or (per the current
-        plan) newly-labeled VM are dropped, while sibling shards whose
-        member sets the delta never reaches keep their warm caches.
-        Shards whose membership *shifts* under the next plan are safe
-        either way — per-shard caches are keyed by their exact member
-        order and self-invalidate on mismatch.
-
-        The expected population is updated so the next
-        :meth:`allocate`'s population-change guard recognises the new
-        name set as *this* delta rather than a wholesale swap (which
-        would reset every sibling shard).  Population changes that
-        arrive without a preceding ``apply_membership`` still take the
-        legacy full-reset path.
-        """
-        added = tuple(added)
-        removed_set = set(removed)
-        if self._population is None or (not added and not removed_set):
-            return
-        current = set(self._population)
-        # Unknown removals are harmless no-ops (a VM admitted and
-        # retired between allocations never entered the population).
-        removed_set.intersection_update(current)
-        if not added and not removed_set:
-            return
-        collide = [vm for vm in added if vm in current and vm not in removed_set]
-        if collide:
-            raise ValueError(f"VMs already in the population: {collide!r}")
-        survivors = current.difference(removed_set)
-        new_population = survivors.union(added)
-        if not new_population:
-            self.reset_cache()
-            return
-        self._invalidate_shards(removed_set.union(added))
-        self._population = tuple(sorted(new_population))
-
-    def _shard_allocator(self, shard: int) -> CorrelationAwareAllocator:
-        allocator = self._allocators.get(shard)
-        if allocator is None:
-            allocator = self._allocators[shard] = CorrelationAwareAllocator(self._allocation)
-        return allocator
+        """Nothing to adjust: each :meth:`allocate` plans its window from scratch."""
 
     def allocate(
         self,
@@ -574,11 +515,6 @@ class ShardedAllocator:
 
         order = _canonical_order(names)
         canon_names = tuple(names[i] for i in order)
-        if self._population != canon_names:
-            if self._population is not None:
-                # Population swap: every per-shard cache pins dead VMs.
-                self.reset_cache()
-            self._population = canon_names
 
         data = window.matrix[order]
         data.flags.writeable = False
@@ -596,7 +532,7 @@ class ShardedAllocator:
             rows.flags.writeable = False
             subset = TraceSet.from_matrix(rows, member_names, window.period_s)
             matrix = CostMatrix.from_traces(subset, self._spec)
-            local = self._shard_allocator(shard).allocate(
+            local = self._allocator.allocate(
                 list(member_names),
                 references,
                 matrix.cost,
@@ -661,9 +597,7 @@ class ShardedAllocator:
         larger remaining capacity, then lower index), falling back to the
         lowest-index empty survivor, then to overcommitting the roomiest
         bin.  Pair costs come from :class:`ShardedCostView`, so
-        cross-shard evacuees are priced exactly.  Every shard that lost a
-        server *or* received an evacuee has its reindex cache dropped —
-        its bin membership no longer matches the cached canonical order.
+        cross-shard evacuees are priced exactly.
         """
         if n_cores <= 0:
             raise ValueError("n_cores must be positive")
@@ -706,7 +640,6 @@ class ShardedAllocator:
                 for vm, server in placement.assignment.items()
                 if server not in failed
             }
-            self._invalidate_shards(evacuees)
             return Placement(survivors, num_servers=max(fleet, placement.num_servers))
 
         resolution = self._allocation.cost_resolution
@@ -744,36 +677,8 @@ class ShardedAllocator:
             remaining[best_server] -= need
             target[vm] = best_server
 
-        amended: dict[str, int] = {}
-        receivers: set[int] = set()
-        for vm in vm_ids:
-            if vm in target:
-                amended[vm] = target[vm]
-                receivers.add(target[vm])
-            else:
-                amended[vm] = placement.assignment[vm]
-        touched_vms = set(evacuees)
-        for server in receivers:
-            touched_vms.update(members[server])
-        self._invalidate_shards(touched_vms)
+        amended = {vm: target.get(vm, placement.assignment[vm]) for vm in vm_ids}
         return Placement(amended, num_servers=max(fleet, placement.num_servers))
-
-    def _invalidate_shards(self, vms: Iterable[str]) -> None:
-        """Drop the reindex caches of every shard the evacuation touched.
-
-        Shard membership is resolved through the plan's per-VM labels,
-        never through server-index ranges: consolidation and prior
-        evacuations can leave a server hosting VMs of several shards, so
-        every shard that lost an evacuee *or* shares a bin with one
-        after the move gets its cache dropped.
-        """
-        plan = self._plan
-        if plan is None:
-            return
-        for shard in sorted(plan.shards_of(vms)):
-            allocator = self._allocators.get(shard)
-            if allocator is not None:
-                allocator.reset_cache()
 
     def snapshot(self) -> dict:
         """Serializable copy of all cross-period state (for checkpoints).
@@ -804,23 +709,10 @@ class ShardedAllocator:
                     for matrix in plan.matrices
                 ],
             }
-        return {
-            "population": self._population,
-            "allocators": {
-                shard: allocator.snapshot()
-                for shard, allocator in sorted(self._allocators.items())
-            },
-            "plan": plan_state,
-        }
+        return {"plan": plan_state}
 
     def restore(self, state: dict) -> None:
         """Reinstall a :meth:`snapshot` taken from an identical config."""
-        self._population = state["population"]
-        self._allocators = {}
-        for shard, payload in state["allocators"].items():
-            allocator = CorrelationAwareAllocator(self._allocation)
-            allocator.restore(payload)
-            self._allocators[int(shard)] = allocator
         plan_state = state["plan"]
         if plan_state is None:
             self._plan = None

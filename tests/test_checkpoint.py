@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.stats import BatchPSquare, validate_p2_markers
-from repro.core.allocation import CorrelationAwareAllocator
 from repro.core.sharding import ShardedAllocator, ShardingConfig
 from repro.core.correlation import RollingCostHorizon, StreamingCostMatrix
 from repro.core.manager import ManagerConfig, PowerManager
@@ -357,6 +356,31 @@ class TestComponentRoundTrips:
         with pytest.raises(ValueError, match="different"):
             b.restore(a.snapshot())
 
+    @pytest.mark.parametrize(
+        ("spec", "mode", "key"),
+        [(ReferenceSpec(), "exact", "parts"), (ReferenceSpec(90.0), "p2", "marker_parts")],
+        ids=["peak", "p2"],
+    )
+    def test_rolling_horizon_rejects_parts_short_of_its_names(self, spec, mode, key):
+        def window(num_vms, seed):
+            rng = np.random.default_rng(seed)
+            return TraceSet(
+                UtilizationTrace(rng.uniform(0.1, 3.0, 30), 5.0, f"vm{i}")
+                for i in range(num_vms)
+            )
+
+        live = RollingCostHorizon(spec, horizon_periods=3, mode=mode)
+        short = RollingCostHorizon(spec, horizon_periods=3, mode=mode)
+        for seed in range(2):
+            live.push(window(4, seed))
+            short.push(window(3, seed))
+        state = {**live.snapshot(), key: short.snapshot()[key]}
+        twin = RollingCostHorizon(spec, horizon_periods=3, mode=mode)
+        untouched = pickle.dumps(twin.snapshot())
+        with pytest.raises(ValueError, match="do not match"):
+            twin.restore(state)
+        assert pickle.dumps(twin.snapshot()) == untouched
+
     def test_power_manager(self):
         config = ManagerConfig(
             n_cores=8,
@@ -384,14 +408,6 @@ class TestComponentRoundTrips:
             b = twin.decide(window(seed))
             assert a.placement.assignment == b.placement.assignment
             assert a.frequencies == b.frequencies
-
-    def test_allocator_reindex_cache(self):
-        allocator = CorrelationAwareAllocator()
-        empty = allocator.snapshot()
-        assert empty == {"reindex_cache": None}
-        twin = CorrelationAwareAllocator()
-        twin.restore(pickle.loads(pickle.dumps(empty)))
-        assert twin.snapshot() == {"reindex_cache": None}
 
     def _sharded_window(self, seed: int, num_vms: int = 24) -> TraceSet:
         rng = np.random.default_rng(200 + seed)
@@ -617,6 +633,42 @@ class TestReplayResume:
         engine = pickle.loads(loaded.sections["engine"])
         del engine["audit_events"]
         sections = {**loaded.sections, "engine": pickle.dumps(engine)}
+        save_checkpoint(newest, dict(loaded.meta), sections)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            resumed = replay(traces, SPEC, 6, _proposed(), plain, resume_from=newest)
+        messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+        assert len(messages) == 1 and "state rejected" in messages[0], messages
+        assert pickle.dumps(resumed) == reference
+
+    def test_exact_checkpoint_with_full_peak_joints_cold_starts_once(self, tmp_path):
+        # The exact-allocator layout before peak parts were condensed:
+        # each horizon part carries an N×N joint, beside the allocator's
+        # reindex-cache entry.  Restore rejects the parts up front, so
+        # the resume cold-starts instead of failing in a later fold.
+        traces = _traces()
+        plain = ReplayConfig(tperiod_s=300.0)
+        reference = pickle.dumps(replay(traces, SPEC, 6, _proposed(), plain))
+        replay(traces, SPEC, 6, _proposed(), _checkpointed_config(tmp_path))
+        newest = list_checkpoints(tmp_path)[0]
+        loaded = load_checkpoint(newest)
+        payload = pickle.loads(loaded.sections["approach"])
+        exact = payload["state"]["allocator"]
+        n = len(exact["horizon"]["names"])
+        upper = np.triu_indices(n, 1)
+        full_parts = []
+        for refs, pairs in exact["horizon"]["parts"]:
+            joint = np.diag(2.0 * refs)
+            joint[upper] = pairs
+            joint.T[upper] = pairs
+            full_parts.append((refs, joint))
+        assert full_parts
+        payload["state"]["allocator"] = {
+            "allocator": {"reindex_cache": None},
+            "horizon": {**exact["horizon"], "parts": full_parts},
+            "last_matrix": exact["last_matrix"],
+        }
+        sections = {**loaded.sections, "approach": pickle.dumps(payload)}
         save_checkpoint(newest, dict(loaded.meta), sections)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -319,44 +319,21 @@ class TestAllocatorDeltas:
         )
         return PowerManager(config)
 
-    def test_exact_cache_survives_arrival_drops_on_departure(self):
+    @pytest.mark.parametrize("allocator", ["exact", "sharded"])
+    def test_decide_after_arrival_and_departure_places_the_new_names(self, allocator):
         rng = np.random.default_rng(13)
-        manager = self._manager()
-        names = tuple(f"v{i}" for i in range(10))
-        manager.decide(TraceSet.from_matrix(_window(rng, 10), names, PERIOD_S))
-        assert manager._allocator._allocator._reindex_cache is not None
-        manager.admit(["new"])
-        assert manager._allocator._allocator._reindex_cache is not None
-        manager.retire("v3")
-        assert manager._allocator._allocator._reindex_cache is None
-
-    def test_departure_does_not_reset_sibling_shards(self):
-        rng = np.random.default_rng(14)
-        manager = self._manager("sharded")
-        names = [f"vm{i:03d}" for i in range(60)]
+        overrides = {"horizon_periods": 3} if allocator == "exact" else {}
+        manager = self._manager(allocator, **overrides)
+        names = [f"vm{i:03d}" for i in range(40)]
         for _ in range(2):
-            manager.decide(
-                TraceSet.from_matrix(_window(rng, 60), tuple(names), PERIOD_S)
-            )
-        sharded = manager._allocator
-        victim = names[7]
-        victim_shard = sorted(sharded._plan.shards_of([victim]))[0]
-        assert all(
-            sharded._allocators[shard]._reindex_cache is not None
-            for shard in sharded._allocators
+            manager.decide(TraceSet.from_matrix(_window(rng, 40), tuple(names), PERIOD_S))
+        manager.admit(["new"])
+        manager.retire(names[7])
+        names = [name for name in names if name != names[7]] + ["new"]
+        decision = manager.decide(
+            TraceSet.from_matrix(_window(rng, 40), tuple(names), PERIOD_S)
         )
-        manager.retire(victim)
-        assert sharded._allocators[victim_shard]._reindex_cache is None
-        siblings = [s for s in sharded._allocators if s != victim_shard]
-        assert siblings
-        assert all(
-            sharded._allocators[shard]._reindex_cache is not None for shard in siblings
-        )
-        # The next allocate recognises the delta: no wholesale reset.
-        names.remove(victim)
-        manager.decide(
-            TraceSet.from_matrix(_window(rng, 59), tuple(names), PERIOD_S)
-        )
+        assert set(decision.placement.assignment) == set(names)
 
     def test_retire_before_any_decide_is_safe(self):
         manager = self._manager("sharded")

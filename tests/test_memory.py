@@ -6,12 +6,14 @@ size of what the layer must hold anyway:
 
 * trace synthesis: ``synthesize_population``'s peak over its output, so
   1.0 means the fine matrix is the only full-size buffer;
-* the decide pipeline: a warm exact ``PowerManager.decide``'s peak above
-  the state it keeps between periods, in N×N float64 units (the Eqn-1
-  assembly's temporaries were its largest term).
+* the decide pipeline: the state a warm exact ``PowerManager`` keeps
+  between periods, and one more decide's peak above it, in N×N float64
+  units (the Eqn-1 assembly's temporaries were the peak's largest term;
+  full-size horizon parts and the allocator's reindex cache were most of
+  the kept state).
 
 The bounds sit between the readings before and after the kernels were
-made to fill the one buffer they return (see docs/performance.md).
+changed to hold less (see docs/performance.md).
 """
 
 from __future__ import annotations
@@ -35,8 +37,12 @@ DECIDE_HORIZON = 3
 DECIDE_WARM_DECIDES = 5
 #: Warm decide transient bounds, N² float64 units: peak references read
 #: 4.14 with the numerator / quotient / select assembly and 2.14 without
-#: it; p90 through the p2 marker fold read 5.64 and 3.75.
-DECIDE_MAX_TRANSIENT = {"peak": 3.5, "p90-p2": 4.5}
+#: it; p90 through the p2 marker fold read 5.64, then 3.75 while the new
+#: window's marker part (3.25 N²) was reduced beside a full horizon.
+DECIDE_MAX_TRANSIENT = {"peak": 3.5, "p90-p2": 3.2}
+#: Warm peak-reference decider's kept state, N² float64 units: 6.06 with
+#: N×N horizon parts and the allocator's cross-period reindex cache.
+DECIDE_MAX_RETAINED = 3.0
 
 
 def synthesis_peak_vs_output(num_vms: int, num_windows: int, factor: int) -> float:
@@ -52,8 +58,11 @@ def synthesis_peak_vs_output(num_vms: int, num_windows: int, factor: int) -> flo
     return peak / fine.nbytes
 
 
-def decide_transient(num_vms: int, reference: ReferenceSpec, horizon_mode: str) -> float:
-    """A warm exact decide's traced peak above steady state, in N² float64s.
+def decide_memory(
+    num_vms: int, reference: ReferenceSpec, horizon_mode: str
+) -> tuple[float, float]:
+    """A warm exact decider's kept state and one more decide's traced
+    peak above it, both in N² float64s.
 
     Tracing starts before the manager is built, so every buffer it keeps
     across periods counts in the steady state; the windows are drawn
@@ -87,7 +96,8 @@ def decide_transient(num_vms: int, reference: ReferenceSpec, horizon_mode: str) 
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return (peak - steady) / (num_vms * num_vms * 8)
+    unit = num_vms * num_vms * 8
+    return steady / unit, (peak - steady) / unit
 
 
 def test_synthesis_fills_only_its_output():
@@ -104,9 +114,17 @@ def test_synthesis_fills_only_its_output():
     ids=["peak", "p90-p2"],
 )
 def test_warm_exact_decide_transient(label, reference, horizon_mode):
-    transient = decide_transient(DECIDE_VMS, reference, horizon_mode)
+    _retained, transient = decide_memory(DECIDE_VMS, reference, horizon_mode)
     bound = DECIDE_MAX_TRANSIENT[label]
     assert transient <= bound, (
         f"warm {label} decide at N={DECIDE_VMS} peaked {transient:.2f} N² float64 "
         f"above steady state, bound {bound}"
+    )
+
+
+def test_warm_exact_decider_retained_state():
+    retained, _transient = decide_memory(DECIDE_VMS, ReferenceSpec(), "exact")
+    assert retained <= DECIDE_MAX_RETAINED, (
+        f"warm peak-reference decider at N={DECIDE_VMS} keeps {retained:.2f} N² "
+        f"float64 between decides, bound {DECIDE_MAX_RETAINED}"
     )

@@ -235,9 +235,9 @@ class TestAllocatorFastPathEquivalence:
         self._paths_agree(list(traces.names), refs, matrix, config, 8)
 
     def test_cross_period_reuse_of_unchanged_rows(self, rng):
-        """One allocator re-used across periods (reindex cache warm, a few
-        matrix rows changing per period) places exactly like a fresh
-        allocator on every period."""
+        """One allocator re-used across periods (a few matrix rows
+        changing per period) places exactly like a fresh allocator on
+        every period."""
         traces = _random_traces(rng, 18, 60)
         matrix = CostMatrix.from_traces(traces)
         array = matrix.as_array().copy()
@@ -263,8 +263,8 @@ class TestAllocatorFastPathEquivalence:
             assert warm.num_servers == cold.num_servers
 
     def test_cross_period_reuse_with_changing_order(self, rng):
-        """A reference change reshuffles the canonical order: the reindex
-        cache must drop itself rather than serve the stale permutation."""
+        """A reference change reshuffles the canonical order: a reused
+        allocator places on the new order exactly like a fresh one."""
         traces = _random_traces(rng, 12, 40)
         matrix = CostMatrix.from_traces(traces)
         array = matrix.as_array()
@@ -283,20 +283,17 @@ class TestAllocatorFastPathEquivalence:
 
     def test_population_swap_same_shape_never_serves_stale_rows(self, rng):
         """Swapping to a *different* trace population of identical shape
-        and names (fresh matrix values) across periods — with and
-        without an intervening reset — must re-gather every changed row
-        rather than reuse the previous population's entries."""
+        and names (fresh matrix values) across periods must place on the
+        new values, exactly like a fresh allocator."""
         names = [f"vm{i:03d}" for i in range(14)]
         refs = {vm: float(rng.uniform(0.2, 4.0)) for vm in names}
         reused = CorrelationAwareAllocator()
-        for period in range(6):
+        for _period in range(6):
             traces = TraceSet(
                 UtilizationTrace(rng.uniform(0.0, 4.0, size=50), 1.0, name)
                 for name in names
             )
             matrix = CostMatrix.from_traces(traces)
-            if period == 3:
-                reused.reset_cache()
             warm = reused.allocate(
                 names, refs, None, 8,
                 cost_array=matrix.as_array(), name_index=matrix.name_index,
@@ -307,51 +304,6 @@ class TestAllocatorFastPathEquivalence:
             )
             assert dict(warm.assignment) == dict(cold.assignment)
             assert warm.num_servers == cold.num_servers
-
-    def test_cached_permutation_is_tamper_proof(self, rng):
-        """The cached slot-permuted matrix is read-only: a caller
-        mutating it in place (which the input-compare fingerprint could
-        never detect) fails loudly instead of corrupting every later
-        period."""
-        traces = _random_traces(rng, 8, 30)
-        matrix = CostMatrix.from_traces(traces)
-        refs = matrix.references()
-        allocator = CorrelationAwareAllocator()
-        allocator.allocate(
-            list(traces.names), refs, None, 8,
-            cost_array=matrix.as_array(), name_index=matrix.name_index,
-        )
-        cache = allocator._reindex_cache
-        assert cache is not None and not cache.permuted.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            cache.permuted[0, 0] = 99.0
-        # ... and incremental row re-gathers still work on the frozen array.
-        perturbed = matrix.as_array().copy()
-        perturbed[2, :] *= 1.01
-        perturbed[:, 2] = perturbed[2, :]
-        perturbed[2, 2] = 1.0
-        warm = allocator.allocate(
-            list(traces.names), refs, None, 8,
-            cost_array=perturbed, name_index=matrix.name_index,
-        )
-        cold = CorrelationAwareAllocator().allocate(
-            list(traces.names), refs, None, 8,
-            cost_array=perturbed, name_index=matrix.name_index,
-        )
-        assert dict(warm.assignment) == dict(cold.assignment)
-
-    def test_reset_cache_drops_the_snapshot(self, rng):
-        traces = _random_traces(rng, 6, 30)
-        matrix = CostMatrix.from_traces(traces)
-        refs = matrix.references()
-        allocator = CorrelationAwareAllocator()
-        allocator.allocate(
-            list(traces.names), refs, None, 8,
-            cost_array=matrix.as_array(), name_index=matrix.name_index,
-        )
-        assert allocator._reindex_cache is not None
-        allocator.reset_cache()
-        assert allocator._reindex_cache is None
 
     def test_exact_cost_comparison_mode(self, rng):
         """cost_resolution=0 (no bucketing) also agrees across paths."""
