@@ -155,7 +155,7 @@ class ProposedApproach:
         The fault layer's hook (see :func:`repro.sim.faults.evacuate_fleet`,
         which sets the evacuees' frequencies itself): delegates to the
         allocator's incremental ``evacuate`` against the cost matrix of
-        the latest :meth:`decide`, whose reindex cache it reuses.
+        the latest :meth:`decide`.
         """
         manager = self._manager
         return manager._allocator.evacuate(

@@ -46,6 +46,7 @@ GATED_ENTRIES: tuple[tuple[str, str, str], ...] = (
     ("synthesis", "speedup", "higher"),
     # Traced-memory ratios count bytes, so they are the same on any box.
     ("synthesis", "peak_vs_output", "lower"),
+    ("decide_memory", "retained_n2", "lower"),
     ("decide_memory", "peak_transient_n2", "lower"),
     ("decide_memory", "p2_transient_n2", "lower"),
     ("datacenter_traces", "speedup", "higher"),
