@@ -254,7 +254,7 @@ class CostMatrix:
         spec = spec or ReferenceSpec()
         refs, pairs = cls.reference_parts(traces, spec)
         joint = _symmetric_joint(refs, pairs)
-        del pairs  # only the N×N joint is read from here on
+        del pairs  # freed before the Eqn-1 assembly allocates its matrix
         return cls.from_parts(traces.names, refs, joint, spec)
 
     @classmethod
