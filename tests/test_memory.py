@@ -41,7 +41,8 @@ DECIDE_WARM_DECIDES = 5
 #: window's marker part (3.25 N²) was reduced beside a full horizon.
 DECIDE_MAX_TRANSIENT = {"peak": 3.5, "p90-p2": 3.2}
 #: Warm peak-reference decider's kept state, N² float64 units: 6.06 with
-#: N×N horizon parts and the allocator's cross-period reindex cache.
+#: N×N horizon parts and the allocator's cross-period reindex cache, 2.56
+#: with condensed parts and no cache.
 DECIDE_MAX_RETAINED = 3.0
 
 
