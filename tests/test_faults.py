@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.core.allocation import AllocationConfig, CorrelationAwareAllocator
+from repro.core.allocation import AllocationConfig, CorrelationAwareAllocator, ExactAllocator
 from repro.core.correlation import CostMatrix
 from repro.core.manager import ManagerConfig, PowerManager
 from repro.core.placement import Placement
@@ -238,10 +238,13 @@ def _setting(freq: float):
 def _oracle_evacuate(placement, failed, refs, cost_fn, capacity, fleet, resolution):
     """Scalar transcription of the documented evacuation rule.
 
-    Module-level: the exact allocator and the sharded tier document the
+    Module-level: the exact allocator and the sharded tier run the
     *same* rule (the sharded one prices pairs through its cost view), so
     both suites pin themselves against this one transcription.
+    References are clamped into ``[0, capacity]`` first, as both
+    allocators do.
     """
+    refs = {vm: min(max(float(ref), 0.0), capacity) for vm, ref in refs.items()}
     failed = set(failed)
     members = {s: [] for s in range(fleet) if s not in failed}
     remaining = {s: capacity for s in members}
@@ -413,6 +416,71 @@ class TestShardedEvacuate:
         assert zero.faults.evacuations == 0
         stripped = dataclasses.replace(zero, faults=None)
         assert pickle.dumps(stripped) == pickle.dumps(base)
+
+    def test_single_shard_matches_exact_above_n_cores(self):
+        """References above ``n_cores`` tie once clamped, so both backends
+        take the evacuees in name order: ``a`` opens server 3, ``b``
+        server 4 (ordering by the unclamped reference swaps them)."""
+        window = TraceSet.from_mapping(
+            {"a": [1.0, 3.0, 2.0], "b": [2.0, 1.0, 3.0], "c": [0.5, 0.5, 1.0]}, 60.0
+        )
+        refs = {"a": 9.0, "b": 10.0, "c": 1.0}
+        placement = Placement({"a": 0, "b": 1, "c": 2}, num_servers=5)
+        exact = ExactAllocator()
+        sharded = ShardedAllocator(sharding=ShardingConfig(num_shards=1))
+        for allocator in (exact, sharded):
+            allocator.allocate(window, refs, 8, 5)
+        expected = exact.evacuate(placement, (0, 1), refs, 8, 5)
+        assert dict(expected.assignment) == {"a": 3, "b": 4, "c": 2}
+        amended = sharded.evacuate(placement, (0, 1), refs, 8, 5)
+        assert dict(amended.assignment) == dict(expected.assignment)
+
+
+@pytest.mark.parametrize("backend", ["exact", "sharded"])
+class TestEvacuationRule:
+    """Both allocator backends against the one scalar transcription."""
+
+    FLEET = 8
+
+    def _placed(self, backend: str):
+        window = _traces(seed=5, num_vms=16, samples=120)
+        rng = np.random.default_rng(105)
+        refs = {name: float(rng.uniform(0.5, 4.0)) for name in window.names}
+        refs["vm03"] = 9.5  # above n_cores: clamped to a whole server
+        if backend == "exact":
+            allocator = ExactAllocator()
+        else:
+            allocator = ShardedAllocator(sharding=ShardingConfig(num_shards=3))
+        placement = allocator.allocate(window, refs, 8, self.FLEET)
+        return allocator, placement, refs
+
+    def _oracle(self, allocator, placement, failed, refs):
+        return _oracle_evacuate(
+            placement, failed, refs, allocator.cost_view().cost, 8.0,
+            self.FLEET, AllocationConfig().cost_resolution,
+        )
+
+    @pytest.mark.parametrize("failed", [(0,), (1, 3), (0, 2, 4)])
+    def test_matches_scalar_oracle(self, backend, failed):
+        allocator, placement, refs = self._placed(backend)
+        amended = allocator.evacuate(placement, failed, refs, 8, self.FLEET)
+        assert dict(amended.assignment) == self._oracle(allocator, placement, failed, refs)
+        assert not set(amended.assignment.values()) & set(failed)
+
+    def test_evacuee_above_n_cores(self, backend):
+        allocator, placement, refs = self._placed(backend)
+        failed = (placement.server_of("vm03"), placement.server_of("vm00"))
+        amended = allocator.evacuate(placement, failed, refs, 8, self.FLEET)
+        assert dict(amended.assignment) == self._oracle(allocator, placement, failed, refs)
+        assert amended.server_of("vm03") not in failed
+
+    def test_no_survivor_leaves_evacuees_unplaced(self, backend):
+        allocator, placement, refs = self._placed(backend)
+        failed = tuple(range(self.FLEET))
+        amended = allocator.evacuate(placement, failed, refs, 8, self.FLEET)
+        assert self._oracle(allocator, placement, failed, refs) == {}
+        assert dict(amended.assignment) == {}
+        assert amended.num_servers == self.FLEET
 
 
 class TestManagerEvacuate:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.allocation import CorrelationAwareAllocator
-from repro.core.correlation import CostMatrix
+from repro.core.correlation import NEUTRAL_COST, CostMatrix
 from repro.core.sharding import (
     ENERGY_DEVIATION_BOUND,
     ShardedAllocator,
@@ -213,6 +213,40 @@ class TestPermutationInvariance:
             plan = allocator.snapshot()["plan"]
             labels = dict(zip(plan["names"], plan["labels"].tolist(), strict=True))
             assert labels == expected
+
+
+class TestPairCosts:
+    """``ShardedCostView.pair_costs`` gathers what ``cost`` reads per pair."""
+
+    @staticmethod
+    def _window() -> TraceSet:
+        rng = np.random.default_rng(41)
+        data = rng.uniform(0.0, 3.0, (18, 48))
+        data[[3, 11]] = 0.0  # an idle pair: joint reference 0
+        return TraceSet.from_matrix(data, tuple(f"vm{i:02d}" for i in range(18)), 60.0)
+
+    @pytest.mark.parametrize("reference", [ReferenceSpec(), ReferenceSpec(90.0)], ids=["peak", "p90"])
+    @pytest.mark.parametrize("num_shards", [3, 18])
+    def test_matches_per_pair_cost(self, reference, num_shards):
+        window = self._window()
+        allocator = ShardedAllocator(
+            sharding=ShardingConfig(num_shards=num_shards), reference=reference
+        )
+        allocator.allocate(window, {vm: 1.0 for vm in window.names}, N_CORES)
+        view = allocator.cost_view()
+        names = view.names
+        labels = allocator.snapshot()["plan"]["labels"]
+        everyone = np.arange(len(names), dtype=np.intp)
+        for i in everyone:
+            got = view.pair_costs(int(i), everyone)
+            want = np.array([view.cost(names[i], names[j]) for j in everyone])
+            assert got.tobytes() == want.tobytes()
+        same = labels[:, None] == labels[None, :]
+        assert (~same).any()
+        if num_shards == 3:
+            assert (same & ~np.eye(len(names), dtype=bool)).any()
+        idle_a, idle_b = view.name_index["vm03"], view.name_index["vm11"]
+        assert view.pair_costs(idle_a, np.array([idle_b]))[0] == NEUTRAL_COST
 
 
 class TestShardingConfigValidation:
