@@ -81,6 +81,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -88,6 +89,9 @@ from repro.core.correlation import CostMatrix, RollingCostHorizon
 from repro.core.placement import Placement
 from repro.core.server_cost import CostFn, prospective_server_cost
 from repro.traces.trace import ReferenceSpec, TraceSet
+
+if TYPE_CHECKING:
+    from repro.core.sharding import ShardedCostView
 
 __all__ = ["AllocationConfig", "CorrelationAwareAllocator", "CapacityError", "ExactAllocator"]
 
@@ -519,28 +523,28 @@ class CorrelationAwareAllocator:
         n_cores: int,
         num_servers: int | None = None,
         *,
-        cost_array: np.ndarray,
-        name_index: Mapping[str, int],
+        costs: CostMatrix | ShardedCostView,
     ) -> Placement:
         """Re-place the failed servers' VMs without a full rebuild.
 
         The incremental arrival/departure path: the surviving bins'
         Eqn-2 state (``R_S`` and the weighted pair sum ``T_S``) is
         reconstructed from ``placement`` over the same canonical slot
-        order :meth:`allocate` used, reading ``cost_array`` through the
-        slot→row map — the same values in the same order as the
-        slot-order matrix :meth:`allocate` gathers, without an O(N²)
-        gather or a sweep loop.  Each evacuee (descending reference,
-        then name) then joins the surviving bin that *maximises* the
-        bucketed prospective Eqn-2 cost among the bins it fits
-        (ties: larger remaining capacity, then lower index); when no
-        non-empty bin fits, the lowest-index empty survivor is opened;
-        when nothing fits at all, the bin with the most remaining
-        capacity is *overcommitted* — an emergency re-placement prefers
-        a violated QoS target over an unhosted VM, so no correlation
-        threshold gates admission and ``validate_capacity`` is not
-        enforced.  A VM stays unplaced only when no surviving server
-        exists.
+        order :meth:`allocate` used, reading each slot's pair costs
+        through ``costs.pair_costs`` at its ``costs.name_index`` row —
+        an array slice of a :class:`CostMatrix`, or the sharded tier's
+        shard-matrix gathers plus one batched cross-shard reference —
+        without an O(N²) gather or a sweep loop.  Each evacuee
+        (descending clamped reference, then name) then joins the
+        surviving bin that *maximises* the bucketed prospective Eqn-2
+        cost among the bins it fits (ties: larger remaining capacity,
+        then lower index); when no non-empty bin fits, the lowest-index
+        empty survivor is opened; when nothing fits at all, the bin
+        with the most remaining capacity is *overcommitted* — an
+        emergency re-placement prefers a violated QoS target over an
+        unhosted VM, so no correlation threshold gates admission and
+        ``validate_capacity`` is not enforced.  A VM stays unplaced only
+        when no surviving server exists.
 
         Returns the amended placement (original VM order preserved);
         the caller diffs it against the input to charge migrations.
@@ -566,9 +570,19 @@ class CorrelationAwareAllocator:
 
         refs = {vm: min(max(float(references[vm]), 0.0), capacity) for vm in vm_ids}
         order = sorted(vm_ids, key=lambda vm: (-refs[vm], vm))
-        cost_array, rows = self._slot_rows(order, cost_array, name_index)
+        index = costs.name_index
+        missing = [vm for vm in order if vm not in index]
+        if missing:
+            raise ValueError(f"the cost view has no entries for {missing}")
+        rows = np.array([index[vm] for vm in order], dtype=np.intp)
         r = np.array([refs[vm] for vm in order], dtype=float)
         slot_of = {vm: slot for slot, vm in enumerate(order)}
+
+        def cross(slot: int, bin_: _Bin) -> float:
+            """``sum_j (r_j + r_c) C(j, c)`` of slot ``c`` against the bin."""
+            members = np.asarray(bin_.members, dtype=np.intp)
+            row = costs.pair_costs(rows[slot], rows[members])
+            return float(row @ r[members]) + r[slot] * float(row.sum())
 
         bins = {
             server: _Bin(server, capacity)
@@ -581,9 +595,7 @@ class CorrelationAwareAllocator:
             bin_ = bins[server]
             slot = slot_of[vm]
             if bin_.members:
-                members = np.asarray(bin_.members, dtype=np.intp)
-                row = cost_array[rows[slot], rows[members]]
-                bin_.pair_weight += float(row @ r[members]) + r[slot] * float(row.sum())
+                bin_.pair_weight += cross(slot, bin_)
             bin_.members.append(slot)
             bin_.remaining -= r[slot]
             bin_.ref_sum += r[slot]
@@ -602,12 +614,9 @@ class CorrelationAwareAllocator:
                 if demand > bin_.remaining + _FIT_EPS:
                     continue
                 if bin_.members:
-                    members = np.asarray(bin_.members, dtype=np.intp)
-                    row = cost_array[rows[slot], rows[members]]
-                    cross = float(row @ r[members]) + demand * float(row.sum())
                     total = bin_.ref_sum + demand
                     cost = (
-                        (bin_.pair_weight + cross) / (total * len(bin_.members))
+                        (bin_.pair_weight + cross(slot, bin_)) / (total * len(bin_.members))
                         if total > 0.0
                         else 1.0
                     )
@@ -628,9 +637,7 @@ class CorrelationAwareAllocator:
                 continue
             bin_ = best_bin
             if bin_.members:
-                members = np.asarray(bin_.members, dtype=np.intp)
-                row = cost_array[rows[slot], rows[members]]
-                bin_.pair_weight += float(row @ r[members]) + demand * float(row.sum())
+                bin_.pair_weight += cross(slot, bin_)
             bin_.members.append(slot)
             bin_.remaining -= demand
             bin_.ref_sum += demand
@@ -829,15 +836,8 @@ class ExactAllocator:
     ) -> Placement:
         """Re-place the failed servers' VMs against the latest matrix
         (see :meth:`CorrelationAwareAllocator.evacuate`)."""
-        matrix = self.cost_view()
         return self._allocator.evacuate(
-            placement,
-            failed_servers,
-            references,
-            n_cores,
-            num_servers,
-            cost_array=matrix.as_array(),
-            name_index=matrix.name_index,
+            placement, failed_servers, references, n_cores, num_servers, costs=self.cost_view()
         )
 
     def apply_membership(

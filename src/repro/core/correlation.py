@@ -404,6 +404,10 @@ class CostMatrix:
         """The full (read-only) symmetric cost matrix."""
         return self._matrix
 
+    def pair_costs(self, row: int, rows: np.ndarray) -> np.ndarray:
+        """Costs of the VM at ``row`` against the VMs at ``rows`` (one gather)."""
+        return self._matrix[row, rows]
+
     def mean_offdiagonal(self) -> float:
         """Average pairwise cost — a population de-correlation summary."""
         n = self.size

@@ -248,46 +248,13 @@ class PowerManager:
         """
         self.observe(window)
         predicted = self.predict(list(window.names))
-        placement = self._allocator.allocate(
-            window, predicted, self._config.n_cores, self._config.max_servers
-        )
-        return self._with_frequencies(
-            placement, predicted, estimate_active_servers(predicted, self._config.n_cores)
-        )
-
-    def evacuate(
-        self, decision: PeriodDecision, failed_servers: tuple[int, ...] | list[int]
-    ) -> PeriodDecision:
-        """Amend a decision after server failures (incremental path).
-
-        Re-places exactly the failed servers' VMs through the
-        allocator's incremental ``evacuate`` (see
-        :meth:`~repro.core.allocation.CorrelationAwareAllocator.evacuate`),
-        then recomputes the Eqn-4 frequency for every active server of
-        the amended placement.  Both price pairs against the allocator's
-        *latest* cost matrix, so ``decision`` must be the latest
-        :meth:`decide`'s.  Prediction state is untouched — the decision
-        is amended, not re-made.
-        """
-        placement = self._allocator.evacuate(
-            decision.placement,
-            failed_servers,
-            decision.predicted_references,
-            self._config.n_cores,
-            self._config.max_servers,
-        )
-        return self._with_frequencies(
-            placement, decision.predicted_references, decision.estimated_servers
-        )
-
-    def _with_frequencies(
-        self, placement: Placement, predicted: Mapping[str, float], estimated: int
-    ) -> PeriodDecision:
-        """Eqn 4 per active server, priced with the latest cost view."""
+        n_cores = self._config.n_cores
+        placement = self._allocator.allocate(window, predicted, n_cores, self._config.max_servers)
+        # Eqn 4 per active server, priced with the period's cost view.
         view = self._allocator.cost_view()
         frequencies = {
             server: correlation_aware_frequency(
-                list(members), predicted, view.cost, self._ladder, self._config.n_cores
+                list(members), predicted, view.cost, self._ladder, n_cores
             )
             for server, members in placement.by_server().items()
         }
@@ -295,8 +262,29 @@ class PowerManager:
             placement=placement,
             frequencies=frequencies,
             predicted_references=predicted,
-            estimated_servers=estimated,
+            estimated_servers=estimate_active_servers(predicted, n_cores),
             cost_matrix=view,
+        )
+
+    def evacuate(
+        self,
+        placement: Placement,
+        failed_servers: Sequence[int],
+        references: Mapping[str, float],
+        num_servers: int,
+    ) -> Placement:
+        """Re-place the failed servers' VMs; frequencies are the caller's.
+
+        The fault layer's hook (see :func:`repro.sim.faults.evacuate_fleet`,
+        which bumps the receivers' frequencies itself): the backend's
+        incremental ``evacuate`` (see
+        :meth:`~repro.core.allocation.CorrelationAwareAllocator.evacuate`)
+        against the cost view of the latest :meth:`decide`, so
+        ``placement`` should be that decision's.  Prediction state is
+        untouched.
+        """
+        return self._allocator.evacuate(
+            placement, failed_servers, references, self._config.n_cores, num_servers
         )
 
     def snapshot(self) -> dict:

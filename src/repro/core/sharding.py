@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from repro.core.allocation import (
 )
 from repro.core.correlation import NEUTRAL_COST, CostMatrix
 from repro.core.placement import Placement
-from repro.core.server_cost import prospective_server_cost
 from repro.core.vf_control import correlation_aware_frequency
 from repro.infrastructure.dvfs import FrequencyLadder
 from repro.traces.trace import ReferenceSpec, TraceSet
@@ -379,7 +379,7 @@ def _consolidate_bins(
 class _ShardPlan:
     """Frozen artefacts of the latest sharded allocate (cost lookups)."""
 
-    __slots__ = ("names", "index", "labels", "data", "matrices", "singles")
+    __slots__ = ("names", "index", "position", "labels", "data", "matrices", "singles")
 
     def __init__(
         self,
@@ -395,6 +395,14 @@ class _ShardPlan:
         self.data = data
         self.matrices = matrices
         self.singles = singles
+        # Each VM's row in its shard's matrix, which lists the shard's
+        # members in canonical order.
+        counts = np.bincount(labels, minlength=len(matrices))
+        by_shard = np.argsort(labels, kind="stable")
+        self.position = np.empty_like(by_shard)
+        self.position[by_shard] = np.arange(labels.size) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
 
     @property
     def num_shards(self) -> int:
@@ -408,7 +416,8 @@ class ShardedCostView:
     pairs are computed on demand from the retained window rows — exact
     Eqn-1 values either way, just never materialized as an N×N array.
     Quacks like :class:`~repro.core.correlation.CostMatrix` where the
-    frequency and evacuation layers need it (``names`` + ``cost``).
+    frequency and evacuation layers need it (``names``, ``name_index``,
+    ``cost`` and ``pair_costs``).
     """
 
     def __init__(self, plan: _ShardPlan, spec: ReferenceSpec) -> None:
@@ -418,6 +427,41 @@ class ShardedCostView:
     @property
     def names(self) -> tuple[str, ...]:
         return self._plan.names
+
+    @property
+    def name_index(self) -> Mapping[str, int]:
+        """Read-only ``{name: position in names}`` map."""
+        return MappingProxyType(self._plan.index)
+
+    def pair_costs(self, row: int, rows: np.ndarray) -> np.ndarray:
+        """:meth:`cost` of the VM at ``row`` against the VMs at ``rows``.
+
+        Positions index :attr:`names`.  Same-shard pairs gather from the
+        shard's matrix; cross-shard pairs take one batched joint
+        reference over the retained window rows.  Bit-identical to a
+        per-pair :meth:`cost` loop.
+        """
+        plan = self._plan
+        rows = np.asarray(rows, dtype=np.intp)
+        shard = plan.labels[row]
+        same = plan.labels[rows] == shard
+        out = np.empty(rows.size)
+        out[same] = plan.matrices[shard].pair_costs(
+            plan.position[row], plan.position[rows[same]]
+        )
+        cross = rows[~same]
+        if cross.size:
+            sums = plan.data[row] + plan.data[cross]
+            if self._spec.is_peak:
+                joint = sums.max(axis=1)
+            else:
+                joint = np.percentile(sums, self._spec.percentile, axis=1)
+            priced = np.full(cross.size, NEUTRAL_COST)
+            np.divide(
+                plan.singles[row] + plan.singles[cross], joint, out=priced, where=joint > 0.0
+            )
+            out[~same] = priced
+        return out
 
     def cost(self, a: str, b: str) -> float:
         plan = self._plan
@@ -588,97 +632,12 @@ class ShardedAllocator:
         n_cores: int,
         num_servers: int | None = None,
     ) -> Placement:
-        """Re-place the failed servers' VMs against the sharded plan.
-
-        Same documented rule as the exact allocator's ``evacuate`` (and
-        the scalar Eqn-2 oracle in ``tests/test_faults.py``): evacuees in
-        descending-reference-then-name order each join the surviving bin
-        maximising the bucketed prospective Eqn-2 cost among fits (ties:
-        larger remaining capacity, then lower index), falling back to the
-        lowest-index empty survivor, then to overcommitting the roomiest
-        bin.  Pair costs come from :class:`ShardedCostView`, so
-        cross-shard evacuees are priced exactly.
-        """
-        if n_cores <= 0:
-            raise ValueError("n_cores must be positive")
-        plan = self._plan
-        if plan is None:
-            raise RuntimeError("evacuate() requires a prior allocate()")
-        failed = {int(server) for server in failed_servers}
-        fleet = num_servers if num_servers is not None else placement.num_servers
-        if fleet < placement.num_servers:
-            raise ValueError(
-                f"num_servers {fleet} below the placement's {placement.num_servers}"
-            )
-        vm_ids = list(placement.vm_ids)
-        missing = [vm for vm in vm_ids if vm not in references]
-        if missing:
-            raise ValueError(f"references missing for: {missing}")
-        evacuees = sorted(
-            (vm for vm in vm_ids if placement.assignment[vm] in failed),
-            key=lambda vm: (-float(references[vm]), vm),
+        """Re-place the failed servers' VMs against the latest plan (see
+        :meth:`CorrelationAwareAllocator.evacuate`, which prices pairs
+        through :meth:`ShardedCostView.pair_costs`)."""
+        return self._allocator.evacuate(
+            placement, failed_servers, references, n_cores, num_servers, costs=self.cost_view()
         )
-        if not evacuees:
-            return placement
-
-        capacity = float(n_cores)
-        cost_fn = self.cost_view().cost
-        refs = {
-            vm: min(max(float(references[vm]), 0.0), capacity) for vm in vm_ids
-        }
-        members: dict[int, list[str]] = {
-            server: [] for server in range(fleet) if server not in failed
-        }
-        for vm in vm_ids:
-            server = placement.assignment[vm]
-            if server not in failed:
-                members[server].append(vm)
-        if not members:
-            # No surviving server at all: evacuees stay unplaced.
-            survivors = {
-                vm: server
-                for vm, server in placement.assignment.items()
-                if server not in failed
-            }
-            return Placement(survivors, num_servers=max(fleet, placement.num_servers))
-
-        resolution = self._allocation.cost_resolution
-        remaining = {
-            server: capacity - sum(refs[m] for m in bin_members)
-            for server, bin_members in members.items()
-        }
-        target: dict[str, int] = {}
-        for vm in evacuees:
-            need = refs[vm]
-            best_key = None
-            best_server = None
-            for server in sorted(members):
-                if need > remaining[server] + 1e-12:
-                    continue
-                bin_members = members[server]
-                if bin_members:
-                    cost = prospective_server_cost(bin_members, vm, refs, cost_fn)
-                    bucketed = (
-                        round(cost / resolution) * resolution
-                        if resolution > 0
-                        else cost
-                    )
-                    key = (0, -bucketed, -remaining[server], server)
-                else:
-                    key = (1, 0.0, 0.0, server)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_server = server
-            if best_server is None:
-                best_server = min(
-                    members, key=lambda server: (-remaining[server], server)
-                )
-            members[best_server].append(vm)
-            remaining[best_server] -= need
-            target[vm] = best_server
-
-        amended = {vm: target.get(vm, placement.assignment[vm]) for vm in vm_ids}
-        return Placement(amended, num_servers=max(fleet, placement.num_servers))
 
     def snapshot(self) -> dict:
         """Serializable copy of all cross-period state (for checkpoints).

@@ -150,17 +150,9 @@ class ProposedApproach:
         references: Mapping[str, float],
         num_servers: int,
     ) -> Placement:
-        """Incrementally re-place the failed servers' VMs.
-
-        The fault layer's hook (see :func:`repro.sim.faults.evacuate_fleet`,
-        which sets the evacuees' frequencies itself): delegates to the
-        allocator's incremental ``evacuate`` against the cost matrix of
-        the latest :meth:`decide`.
-        """
-        manager = self._manager
-        return manager._allocator.evacuate(
-            placement, failed_servers, references, manager.config.n_cores, num_servers
-        )
+        """Incrementally re-place the failed servers' VMs (see
+        :meth:`~repro.core.manager.PowerManager.evacuate`)."""
+        return self._manager.evacuate(placement, failed_servers, references, num_servers)
 
     def reset(self) -> None:
         self._manager.reset()

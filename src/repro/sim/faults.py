@@ -27,13 +27,15 @@ engine re-places exactly those VMs onto the surviving fleet *after* the
 approach's decision — approaches stay fault-oblivious, so the fault-free
 replay path is bit-identical to an engine without this module.
 Correlation-aware approaches expose an incremental ``evacuate`` hook
-(see :meth:`repro.core.allocation.CorrelationAwareAllocator.evacuate`);
-everything else falls back to the best-fit-decreasing re-placement here.
-Receiving servers' static frequencies are bumped conservatively (peak-sum
-target, quantized up, never lowered) and evacuation may overcommit a
-surviving server — under capacity loss a violated QoS target beats an
-unhosted VM.  VMs are dropped (reported as unserved demand) only when no
-surviving server exists at all.
+that only places (:meth:`repro.core.manager.PowerManager.evacuate`: one
+rule, :meth:`repro.core.allocation.CorrelationAwareAllocator.evacuate`,
+under either allocator backend); everything else falls back to the
+best-fit-decreasing re-placement here.  Either way this module bumps the
+receiving servers' static frequencies, conservatively (peak-sum target,
+quantized up, never lowered), and evacuation may overcommit a surviving
+server — under capacity loss a violated QoS target beats an unhosted VM.
+VMs are dropped (reported as unserved demand) only when no surviving
+server exists at all.
 """
 
 from __future__ import annotations

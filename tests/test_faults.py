@@ -311,7 +311,7 @@ class TestAllocatorEvacuate:
         failed = tuple(s for s in failed if s < placement.num_servers)
         amended = allocator.evacuate(
             placement, failed, refs, 8, 6,
-            cost_array=matrix.as_array(), name_index=matrix.name_index,
+            costs=matrix,
         )
         expected = _oracle_evacuate(
             placement, failed, refs, matrix.cost, 8.0, 6,
@@ -332,7 +332,7 @@ class TestAllocatorEvacuate:
             pytest.skip("population filled every server")
         amended = allocator.evacuate(
             placement, (empty[0],), refs, 8, 6,
-            cost_array=matrix.as_array(), name_index=matrix.name_index,
+            costs=matrix,
         )
         assert amended is placement
 
@@ -343,17 +343,17 @@ class TestAllocatorEvacuate:
         with pytest.raises(ValueError, match="n_cores"):
             allocator.evacuate(
                 placement, (0,), refs, 0,
-                cost_array=matrix.as_array(), name_index=matrix.name_index,
+                costs=matrix,
             )
         with pytest.raises(ValueError, match="num_servers"):
             allocator.evacuate(
                 placement, (0,), refs, 8, 2,
-                cost_array=matrix.as_array(), name_index=matrix.name_index,
+                costs=matrix,
             )
         with pytest.raises(ValueError, match="missing references"):
             allocator.evacuate(
                 placement, (0,), {}, 8,
-                cost_array=matrix.as_array(), name_index=matrix.name_index,
+                costs=matrix,
             )
 
 
@@ -485,6 +485,8 @@ class TestEvacuationRule:
 
 class TestManagerEvacuate:
     def test_amended_decision_avoids_failed_servers(self):
+        """Place only: the backend's rule against the latest cost view,
+        with no frequency re-pricing and no prediction state touched."""
         traces = _traces(num_vms=8, samples=120)
         manager = PowerManager(
             ManagerConfig(
@@ -495,14 +497,18 @@ class TestManagerEvacuate:
             )
         )
         decision = manager.decide(traces)
+        history = dict(manager.history)
         failed = decision.placement.active_servers[:1]
-        amended = manager.evacuate(decision, failed)
-        assert all(
-            amended.placement.server_of(vm) not in failed
-            for vm in amended.placement.vm_ids
+        refs = decision.predicted_references
+        amended = manager.evacuate(decision.placement, failed, refs, 6)
+        assert isinstance(amended, Placement)
+        assert set(amended.vm_ids) == set(decision.placement.vm_ids)
+        assert all(amended.server_of(vm) not in failed for vm in amended.vm_ids)
+        assert dict(amended.assignment) == _oracle_evacuate(
+            decision.placement, failed, refs, decision.cost_matrix.cost, 8.0, 6,
+            AllocationConfig().cost_resolution,
         )
-        assert set(amended.frequencies) == set(amended.placement.active_servers)
-        assert amended.predicted_references == decision.predicted_references
+        assert dict(manager.history) == history
 
 
 def _fault_replay(traces, faults, approach_cls=ProposedApproach, servers=6):
