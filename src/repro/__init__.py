@@ -53,14 +53,11 @@ from repro.core import (
     server_correlation_cost,
 )
 from repro.infrastructure import (
-    Datacenter,
     DvfsPowerModel,
     FrequencyLadder,
     OPTERON_6174,
-    Server,
     ServerSpec,
     UtilizationTrackingPolicy,
-    VirtualMachine,
     XEON_E5410,
 )
 from repro.prediction import (
@@ -68,7 +65,6 @@ from repro.prediction import (
     LastValuePredictor,
     MaxOverHistoryPredictor,
     MovingAveragePredictor,
-    OraclePredictor,
 )
 from repro.sim import (
     BfdApproach,
@@ -121,10 +117,7 @@ __all__ = [
     "generate_datacenter_traces",
     "select_top_utilization",
     # infrastructure
-    "VirtualMachine",
-    "Server",
     "ServerSpec",
-    "Datacenter",
     "DvfsPowerModel",
     "FrequencyLadder",
     "UtilizationTrackingPolicy",
@@ -154,7 +147,6 @@ __all__ = [
     "MovingAveragePredictor",
     "EwmaPredictor",
     "MaxOverHistoryPredictor",
-    "OraclePredictor",
     # sim
     "ProposedApproach",
     "BfdApproach",

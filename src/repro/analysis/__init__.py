@@ -4,8 +4,7 @@ This subpackage collects the analysis substrates used throughout the
 reproduction:
 
 * :mod:`repro.analysis.stats` — exact and streaming statistics (running
-  max, Welford mean/variance, the P-square streaming percentile estimator,
-  Pearson correlation).
+  max, the P-square streaming percentile estimator, Pearson correlation).
 * :mod:`repro.analysis.interference` — the analytical last-level-cache
   contention model that substitutes for the Xenoprof hardware-counter
   measurements behind Table I of the paper.
@@ -16,10 +15,7 @@ reproduction:
 from repro.analysis.stats import (
     PSquarePercentile,
     RunningMax,
-    RunningMeanVar,
     RunningPercentile,
-    autocorrelation,
-    empirical_cdf,
     pearson,
     percentile,
 )
@@ -34,10 +30,7 @@ from repro.analysis.reporting import ascii_histogram, ascii_series, ascii_table
 __all__ = [
     "PSquarePercentile",
     "RunningMax",
-    "RunningMeanVar",
     "RunningPercentile",
-    "autocorrelation",
-    "empirical_cdf",
     "pearson",
     "percentile",
     "CacheSystem",

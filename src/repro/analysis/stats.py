@@ -12,7 +12,7 @@ To honour that claim the library ships both:
 * exact, numpy-backed batch statistics (:func:`percentile`,
   :func:`pearson`) used by tests and small experiments, and
 * O(1)-per-sample streaming estimators (:class:`RunningMax`,
-  :class:`PSquarePercentile`, :class:`RunningMeanVar`) used by the online
+  :class:`PSquarePercentile`), the scalar references of the online
   cost matrix in :mod:`repro.core.correlation`.
 
 The streaming percentile estimator is the classic P-square algorithm of
@@ -50,10 +50,7 @@ import numpy as np
 __all__ = [
     "percentile",
     "pearson",
-    "autocorrelation",
-    "empirical_cdf",
     "RunningMax",
-    "RunningMeanVar",
     "PSquarePercentile",
     "RunningPercentile",
     "BatchPSquare",
@@ -342,36 +339,6 @@ def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) ->
     return float(np.dot(xc, yc) / denom)
 
 
-def autocorrelation(x: Sequence[float] | np.ndarray, lag: int) -> float:
-    """Autocorrelation of ``x`` at integer ``lag`` samples.
-
-    Used by the datacenter trace generator's self-checks: production CPU
-    traces exhibit strong short-lag autocorrelation (diurnal structure), and
-    the generator asserts that the synthesized traces do too.
-    """
-    xs = np.asarray(x, dtype=float)
-    if lag < 0:
-        raise ValueError("lag must be non-negative")
-    if lag >= xs.size - 1:
-        raise ValueError(f"lag {lag} too large for {xs.size} samples")
-    if lag == 0:
-        return 1.0
-    return pearson(xs[:-lag], xs[lag:])
-
-
-def empirical_cdf(samples: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(sorted_values, cumulative_probabilities)`` for plotting.
-
-    The response-time experiments (Fig 5) report 90th-percentile latencies;
-    the CDF helper lets examples render the whole distribution.
-    """
-    data = np.sort(np.asarray(samples, dtype=float))
-    if data.size == 0:
-        raise ValueError("cannot build a CDF from an empty sample set")
-    probs = np.arange(1, data.size + 1, dtype=float) / data.size
-    return data, probs
-
-
 class RunningMax:
     """O(1) streaming maximum — the peak (100th percentile) reference.
 
@@ -412,66 +379,6 @@ class RunningMax:
         """Forget all observed samples (used at each placement period)."""
         self._best = -math.inf
         self._count = 0
-
-
-class RunningMeanVar:
-    """Welford's online mean/variance, numerically stable.
-
-    Used for trace-generator self checks and for the Pearson-vs-Eqn-1
-    ablation, where an online Pearson estimate is assembled from running
-    moments.
-    """
-
-    __slots__ = ("_count", "_mean", "_m2")
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def update(self, value: float) -> None:
-        """Fold one sample into the running moments."""
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Fold an iterable of samples into the running moments."""
-        for value in values:
-            self.update(value)
-
-    @property
-    def count(self) -> int:
-        """Number of samples observed so far."""
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        """Running mean; raises if no samples have been observed."""
-        if self._count == 0:
-            raise ValueError("RunningMeanVar has seen no samples")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the samples observed so far."""
-        if self._count == 0:
-            raise ValueError("RunningMeanVar has seen no samples")
-        if self._count == 1:
-            return 0.0
-        return self._m2 / self._count
-
-    @property
-    def std(self) -> float:
-        """Population standard deviation of the samples observed so far."""
-        return math.sqrt(self.variance)
-
-    def reset(self) -> None:
-        """Forget all observed samples."""
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
 
 
 class PSquarePercentile:

@@ -2,9 +2,9 @@
 
 A placement is an immutable assignment of VM ids to server indices plus
 the number of servers it was computed for.  Keeping it a plain value type
-(rather than mutating :class:`~repro.infrastructure.server.Server` state
-inside the allocators) makes every allocator a pure function of its
-inputs, which the property-based tests exploit heavily.
+(rather than mutating per-server state inside the allocators) makes
+every allocator a pure function of its inputs, which the property-based
+tests exploit heavily.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Datacenter hardware model: VMs, servers, fleets, power and DVFS.
+"""Datacenter hardware model: servers, power and DVFS.
 
 The paper assumes homogeneous servers, each with ``Ncore`` cores and a
 small discrete ladder of voltage/frequency levels (the two testbeds use
@@ -6,11 +6,8 @@ AMD Opteron 6174 at 1.9/2.1 GHz and Intel Xeon E5410 at 2.0/2.3 GHz), and
 uses the virtualized-server power model of Pedram & Hwang (ICPPW 2010).
 This subpackage provides those substrates:
 
-* :class:`~repro.infrastructure.server.ServerSpec` /
-  :class:`~repro.infrastructure.server.Server` — capacity bookkeeping in
-  cores-at-fmax units,
-* :class:`~repro.infrastructure.vm.VirtualMachine` — a VM bound to a
-  demand trace,
+* :class:`~repro.infrastructure.server.ServerSpec` — capacity in
+  cores-at-fmax units and the two testbeds' presets,
 * :class:`~repro.infrastructure.power.DvfsPowerModel` — idle + dynamic
   power with voltage-squared frequency scaling, plus calibrated presets,
 * :class:`~repro.infrastructure.dvfs.FrequencyLadder` and the generic
@@ -22,9 +19,7 @@ from repro.infrastructure.power import (
     OPTERON_6174_POWER,
     XEON_E5410_POWER,
 )
-from repro.infrastructure.server import Server, ServerSpec, OPTERON_6174, XEON_E5410
-from repro.infrastructure.vm import VirtualMachine
-from repro.infrastructure.datacenter import Datacenter
+from repro.infrastructure.server import ServerSpec, OPTERON_6174, XEON_E5410
 from repro.infrastructure.dvfs import (
     FrequencyLadder,
     StaticVfSetting,
@@ -32,10 +27,7 @@ from repro.infrastructure.dvfs import (
 )
 
 __all__ = [
-    "VirtualMachine",
-    "Server",
     "ServerSpec",
-    "Datacenter",
     "DvfsPowerModel",
     "FrequencyLadder",
     "StaticVfSetting",

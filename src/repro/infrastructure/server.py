@@ -1,4 +1,4 @@
-"""Server capacity model and mutable placement state.
+"""Server capacity model.
 
 The paper assumes a homogeneous fleet where each server has ``Ncore``
 cores and a discrete frequency ladder.  Capacity is expressed in
@@ -19,7 +19,7 @@ from repro.infrastructure.power import (
     XEON_E5410_POWER,
 )
 
-__all__ = ["ServerSpec", "Server", "XEON_E5410", "OPTERON_6174"]
+__all__ = ["ServerSpec", "XEON_E5410", "OPTERON_6174"]
 
 
 @dataclass(frozen=True)
@@ -102,117 +102,6 @@ class ServerSpec:
         """Server power for a demand in cores-at-fmax at ``freq_ghz``."""
         busy = self.busy_fraction(demand_cores, freq_ghz)
         return self.power_model.power_w(busy, freq_ghz, active=active)
-
-
-class Server:
-    """Mutable placement state of one physical server.
-
-    Tracks the VMs currently assigned, the committed reference utilization
-    (the allocator's ``Cap_i - Rem_i``), and the current frequency level.
-    """
-
-    __slots__ = ("_spec", "_server_id", "_vm_ids", "_committed", "_freq_ghz")
-
-    def __init__(self, spec: ServerSpec, server_id: str) -> None:
-        if not server_id:
-            raise ValueError("server_id must be non-empty")
-        self._spec = spec
-        self._server_id = server_id
-        self._vm_ids: list[str] = []
-        self._committed = 0.0
-        self._freq_ghz = spec.fmax_ghz
-
-    @property
-    def spec(self) -> ServerSpec:
-        """The immutable hardware description."""
-        return self._spec
-
-    @property
-    def server_id(self) -> str:
-        """Unique fleet-wide identifier."""
-        return self._server_id
-
-    @property
-    def vm_ids(self) -> tuple[str, ...]:
-        """IDs of the VMs currently placed here, in placement order."""
-        return tuple(self._vm_ids)
-
-    @property
-    def num_vms(self) -> int:
-        """Number of VMs currently placed here."""
-        return len(self._vm_ids)
-
-    @property
-    def is_active(self) -> bool:
-        """True when at least one VM is placed here."""
-        return bool(self._vm_ids)
-
-    @property
-    def committed(self) -> float:
-        """Sum of reference utilizations committed to this server."""
-        return self._committed
-
-    @property
-    def remaining(self) -> float:
-        """Free capacity ``Rem_i`` in cores-at-fmax."""
-        return self._spec.max_capacity - self._committed
-
-    @property
-    def freq_ghz(self) -> float:
-        """Current frequency level."""
-        return self._freq_ghz
-
-    def set_frequency(self, freq_ghz: float) -> None:
-        """Switch to a supported frequency level."""
-        if freq_ghz not in self._spec.freq_levels_ghz:
-            raise ValueError(
-                f"{freq_ghz} GHz is not a level of {self._spec.name} "
-                f"(valid: {self._spec.freq_levels_ghz})"
-            )
-        self._freq_ghz = freq_ghz
-
-    def can_fit(self, reference_utilization: float) -> bool:
-        """Whether a VM with the given reference demand fits in ``Rem_i``."""
-        if reference_utilization < 0:
-            raise ValueError("reference utilization must be non-negative")
-        return reference_utilization <= self.remaining + 1e-12
-
-    def place(self, vm_id: str, reference_utilization: float) -> None:
-        """Place a VM, committing its reference demand.
-
-        Raises :class:`ValueError` when the VM does not fit or is already
-        placed — both indicate allocator bugs and must fail loudly.
-        """
-        if vm_id in self._vm_ids:
-            raise ValueError(f"{vm_id} is already placed on {self._server_id}")
-        if not self.can_fit(reference_utilization):
-            raise ValueError(
-                f"{vm_id} (demand {reference_utilization:.3f}) does not fit on "
-                f"{self._server_id} (remaining {self.remaining:.3f})"
-            )
-        self._vm_ids.append(vm_id)
-        self._committed += reference_utilization
-
-    def evict(self, vm_id: str, reference_utilization: float) -> None:
-        """Remove a VM, releasing its committed demand."""
-        try:
-            self._vm_ids.remove(vm_id)
-        except ValueError:
-            raise ValueError(f"{vm_id} is not placed on {self._server_id}") from None
-        self._committed = max(0.0, self._committed - reference_utilization)
-
-    def clear(self) -> None:
-        """Empty the server (start of a new placement period)."""
-        self._vm_ids.clear()
-        self._committed = 0.0
-        self._freq_ghz = self._spec.fmax_ghz
-
-    def __repr__(self) -> str:
-        return (
-            f"Server(id={self._server_id!r}, vms={len(self._vm_ids)}, "
-            f"committed={self._committed:.3f}/{self._spec.max_capacity:.0f}, "
-            f"freq={self._freq_ghz}GHz)"
-        )
 
 
 #: Setup-2 fleet member: Intel Xeon E5410, 8 cores, 2.0 / 2.3 GHz.

@@ -12,7 +12,6 @@ from repro.prediction.predictors import (
     LastValuePredictor,
     MaxOverHistoryPredictor,
     MovingAveragePredictor,
-    OraclePredictor,
     Predictor,
 )
 
@@ -22,5 +21,4 @@ __all__ = [
     "MovingAveragePredictor",
     "EwmaPredictor",
     "MaxOverHistoryPredictor",
-    "OraclePredictor",
 ]

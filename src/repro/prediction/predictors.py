@@ -28,7 +28,6 @@ __all__ = [
     "MovingAveragePredictor",
     "EwmaPredictor",
     "MaxOverHistoryPredictor",
-    "OraclePredictor",
     "history_bound",
     "append_bounded",
     "ReferenceHistory",
@@ -303,32 +302,3 @@ class MaxOverHistoryPredictor:
         if data.size == 0:
             return self._default
         return float(data[-self._window :].max())
-
-
-class OraclePredictor:
-    """Perfect foresight: returns the true upcoming reference.
-
-    The replay engine feeds it the actual next-period value through
-    :meth:`prime`.  Used to separate placement quality from predictor
-    error in the ablation experiments; no real system has this.
-    """
-
-    __slots__ = ("_truth",)
-
-    #: predict() ignores the history entirely.
-    history_window = 0
-
-    def __init__(self) -> None:
-        self._truth: float | None = None
-
-    def prime(self, upcoming_reference: float) -> None:
-        """Inject the true next-period reference before :meth:`predict`."""
-        if upcoming_reference < 0:
-            raise ValueError("reference must be non-negative")
-        self._truth = float(upcoming_reference)
-
-    def predict(self, history: Sequence[float] | np.ndarray) -> float:
-        _validated(history)
-        if self._truth is None:
-            raise RuntimeError("OraclePredictor.predict called before prime()")
-        return self._truth

@@ -16,7 +16,6 @@ from repro.sim.approaches import (
     ProposedApproach,
 )
 from repro.sim.churn import ChurnEngine, ChurnEvent, ChurnRecord, synthesize_churn_events
-from repro.sim.deployment import DeploymentDelta, apply_decision
 from repro.sim.checkpoint import CheckpointError, CheckpointPolicy
 from repro.sim.engine import ReplayConfig, replay
 from repro.sim.migration import MigrationCostModel
@@ -46,6 +45,4 @@ __all__ = [
     "comparison_rows",
     "normalized_power",
     "MigrationCostModel",
-    "DeploymentDelta",
-    "apply_decision",
 ]

@@ -22,12 +22,9 @@ subpackage simulates that stack:
 
 from repro.workloads.clients import (
     ClientLoad,
-    ComposedLoad,
     CosineClients,
     FlashCrowdClients,
-    RampClients,
     SineClients,
-    SquareWaveClients,
     TraceClients,
 )
 from repro.workloads.websearch import WebSearchCluster, WebSearchClusterConfig
@@ -60,11 +57,8 @@ __all__ = [
     "ClientLoad",
     "SineClients",
     "CosineClients",
-    "SquareWaveClients",
-    "RampClients",
     "FlashCrowdClients",
     "TraceClients",
-    "ComposedLoad",
     "WebSearchCluster",
     "WebSearchClusterConfig",
     "ForkJoinQueueingSimulator",

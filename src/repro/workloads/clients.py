@@ -20,11 +20,8 @@ __all__ = [
     "ClientLoad",
     "SineClients",
     "CosineClients",
-    "SquareWaveClients",
-    "RampClients",
     "FlashCrowdClients",
     "TraceClients",
-    "ComposedLoad",
 ]
 
 
@@ -94,46 +91,6 @@ class CosineClients(SineClients):
         super().__init__(min_clients, max_clients, period_s, phase_rad=math.pi / 2.0)
 
 
-class SquareWaveClients(_BaseLoad):
-    """Alternating low/high populations (abrupt-change stress shape)."""
-
-    def __init__(self, low: float, high: float, period_s: float, duty: float = 0.5) -> None:
-        if low < 0 or high < low:
-            raise ValueError("need 0 <= low <= high")
-        if period_s <= 0:
-            raise ValueError("period must be positive")
-        if not 0.0 < duty < 1.0:
-            raise ValueError("duty cycle must lie in (0, 1)")
-        self._low = low
-        self._high = high
-        self._period = period_s
-        self._duty = duty
-
-    def clients_at(self, t_s: float) -> float:
-        position = (t_s % self._period) / self._period
-        return self._high if position < self._duty else self._low
-
-
-class RampClients(_BaseLoad):
-    """Linear ramp between two populations over a time span."""
-
-    def __init__(self, start: float, end: float, duration_s: float) -> None:
-        if start < 0 or end < 0:
-            raise ValueError("populations must be non-negative")
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        self._start = start
-        self._end = end
-        self._duration = duration_s
-
-    def clients_at(self, t_s: float) -> float:
-        if t_s <= 0:
-            return self._start
-        if t_s >= self._duration:
-            return self._end
-        return self._start + (self._end - self._start) * t_s / self._duration
-
-
 class FlashCrowdClients(_BaseLoad):
     """Baseline population plus Gaussian crowd surges.
 
@@ -180,18 +137,3 @@ class TraceClients(_BaseLoad):
         index = int(t_s // self._period)
         index = min(max(index, 0), self._counts.size - 1)
         return float(self._counts[index])
-
-
-class ComposedLoad(_BaseLoad):
-    """Sum of several loads, optionally scaled (e.g. mixed tenant traffic)."""
-
-    def __init__(self, components: Sequence[ClientLoad], scale: float = 1.0) -> None:
-        if not components:
-            raise ValueError("need at least one component")
-        if scale < 0:
-            raise ValueError("scale must be non-negative")
-        self._components = tuple(components)
-        self._scale = scale
-
-    def clients_at(self, t_s: float) -> float:
-        return self._scale * sum(load.clients_at(t_s) for load in self._components)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.infrastructure.vm import VirtualMachine
 from repro.traces.trace import TraceSet, UtilizationTrace
 from repro.workloads.clients import ClientLoad
 
@@ -63,9 +62,6 @@ class WebSearchClusterConfig:
         Cores available to each ISN VM; demand is clipped here (a VM
         cannot use cores it does not have — the saturation that produces
         Fig 4(a)'s flat-topped over-utilized traces).
-    frontend_cores:
-        Constant demand of the front-end VM (the paper notes it is "quite
-        low compared to ISNs" and excludes it from placement variation).
     """
 
     cluster_id: str
@@ -77,7 +73,6 @@ class WebSearchClusterConfig:
     wander_period_s: float = 700.0
     noise_sigma: float = 0.04
     isn_core_cap: float = 8.0
-    frontend_cores: float = 0.3
 
     def __post_init__(self) -> None:
         if not self.cluster_id:
@@ -99,17 +94,12 @@ class WebSearchClusterConfig:
             raise ValueError("invalid share wander parameters")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
-        if self.isn_core_cap <= 0 or self.frontend_cores < 0:
+        if self.isn_core_cap <= 0:
             raise ValueError("invalid capacity parameters")
 
     def isn_names(self) -> tuple[str, ...]:
         """VM ids of the ISNs, e.g. ``("C1-isn1", "C1-isn2")``."""
         return tuple(f"{self.cluster_id}-isn{k + 1}" for k in range(self.n_isns))
-
-    @property
-    def frontend_name(self) -> str:
-        """VM id of the front-end."""
-        return f"{self.cluster_id}-frontend"
 
 
 class WebSearchCluster:
@@ -182,33 +172,3 @@ class WebSearchCluster:
             signal = np.clip(signal, 0.0, config.isn_core_cap)
             traces.append(UtilizationTrace(signal, period_s, name))
         return TraceSet(traces)
-
-    def isn_vms(
-        self,
-        duration_s: float,
-        period_s: float = 1.0,
-        rng: np.random.Generator | None = None,
-    ) -> list[VirtualMachine]:
-        """The ISNs as placeable :class:`VirtualMachine` objects."""
-        traces = self.isn_demand_traces(duration_s, period_s, rng)
-        return [
-            VirtualMachine(
-                vm_id=trace.name,
-                trace=trace,
-                cluster_id=self._config.cluster_id,
-                core_cap=self._config.isn_core_cap,
-            )
-            for trace in traces
-        ]
-
-    def frontend_vm(self, duration_s: float, period_s: float = 1.0) -> VirtualMachine:
-        """The (lightly loaded) front-end VM."""
-        n = int(round(duration_s / period_s))
-        trace = UtilizationTrace.constant(
-            self._config.frontend_cores, max(n, 1), period_s, self._config.frontend_name
-        )
-        return VirtualMachine(
-            vm_id=self._config.frontend_name,
-            trace=trace,
-            cluster_id=self._config.cluster_id,
-        )

@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from repro.workloads.clients import (
-    ComposedLoad,
     CosineClients,
     FlashCrowdClients,
-    RampClients,
     SineClients,
-    SquareWaveClients,
     TraceClients,
 )
 
@@ -59,34 +56,6 @@ class TestCosineClients:
         assert total.max() < 600.0 * 0.9
 
 
-class TestSquareWave:
-    def test_duty_cycle(self):
-        load = SquareWaveClients(10.0, 100.0, 100.0, duty=0.25)
-        assert load.clients_at(10.0) == 100.0
-        assert load.clients_at(30.0) == 10.0
-        assert load.clients_at(110.0) == 100.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SquareWaveClients(10.0, 5.0, 100.0)
-        with pytest.raises(ValueError):
-            SquareWaveClients(1.0, 5.0, 100.0, duty=1.0)
-
-
-class TestRamp:
-    def test_endpoints_and_midpoint(self):
-        load = RampClients(0.0, 100.0, 50.0)
-        assert load.clients_at(-5.0) == 0.0
-        assert load.clients_at(25.0) == 50.0
-        assert load.clients_at(999.0) == 100.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RampClients(-1.0, 10.0, 5.0)
-        with pytest.raises(ValueError):
-            RampClients(0.0, 10.0, 0.0)
-
-
 class TestFlashCrowd:
     def test_surge_peaks_at_center(self):
         load = FlashCrowdClients(50.0, [(100.0, 200.0, 10.0)])
@@ -114,17 +83,3 @@ class TestTraceClients:
             TraceClients([], 5.0)
         with pytest.raises(ValueError):
             TraceClients([-1.0], 5.0)
-
-
-class TestComposedLoad:
-    def test_sums_and_scales(self):
-        load = ComposedLoad(
-            [TraceClients([10.0], 1.0), TraceClients([20.0], 1.0)], scale=2.0
-        )
-        assert load.clients_at(0.0) == 60.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ComposedLoad([])
-        with pytest.raises(ValueError):
-            ComposedLoad([TraceClients([1.0], 1.0)], scale=-1.0)

@@ -1,8 +1,8 @@
-"""End-to-end integration: generator -> manager -> deployment -> accounting.
+"""End-to-end integration: generator -> manager -> decisions -> accounting.
 
 Exercises the whole public API the way a downstream user would: generate
-a workload, drive the PowerManager period by period, actuate each
-decision on a Datacenter, and account power and violations by hand —
+a workload, drive the PowerManager period by period, read each
+decision's placement and frequencies, and account power by hand —
 cross-checking the numbers against the replay engine's for the same
 traces and approach.
 """
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    Datacenter,
     ManagerConfig,
     PowerManager,
     ProposedApproach,
@@ -23,7 +22,6 @@ from repro import (
     refine_trace_set,
     replay,
 )
-from repro.sim.deployment import apply_decision
 from repro.traces.datacenter import DatacenterTraceConfig
 
 SAMPLES_PER_PERIOD = 120  # 10 minutes at 5-second samples
@@ -54,7 +52,6 @@ class TestManualLoopMatchesEngine:
                 default_reference=4.0,
             )
         )
-        datacenter = Datacenter(XEON_E5410, NUM_SERVERS)
         name_to_row = {n: i for i, n in enumerate(fine_traces.names)}
         matrix = fine_traces.matrix
         periods = fine_traces.num_samples // SAMPLES_PER_PERIOD
@@ -67,20 +64,18 @@ class TestManualLoopMatchesEngine:
                 (period - 1) * SAMPLES_PER_PERIOD, period * SAMPLES_PER_PERIOD
             )
             decision = manager.decide(window)
-            delta = apply_decision(datacenter, decision, previous_placement=previous)
-            total_migrations += delta.migrations
+            total_migrations += decision.placement.migrations_from(previous)
             previous = decision.placement
 
             start = period * SAMPLES_PER_PERIOD
             stop = start + SAMPLES_PER_PERIOD
-            for server in datacenter:
-                if not server.is_active:
-                    continue
-                rows = [name_to_row[vm] for vm in server.vm_ids]
+            for server, members in decision.placement.by_server().items():
+                freq_ghz = decision.frequencies[server].freq_ghz
+                rows = [name_to_row[vm] for vm in members]
                 demand = matrix[rows, start:stop].sum(axis=0)
                 for sample in demand:
                     manual_energy += (
-                        XEON_E5410.power_w(float(sample), server.freq_ghz)
+                        XEON_E5410.power_w(float(sample), freq_ghz)
                         * fine_traces.period_s
                     )
 
@@ -104,7 +99,7 @@ class TestManualLoopMatchesEngine:
         assert total_migrations <= result.num_periods * len(fine_traces.names)
 
     def test_decisions_keep_fleet_feasible(self, fine_traces):
-        """At every period the applied state respects server capacity."""
+        """At every period each decision respects server capacity."""
         manager = PowerManager(
             ManagerConfig(
                 n_cores=8,
@@ -113,15 +108,15 @@ class TestManualLoopMatchesEngine:
                 default_reference=4.0,
             )
         )
-        datacenter = Datacenter(XEON_E5410, NUM_SERVERS)
         periods = fine_traces.num_samples // SAMPLES_PER_PERIOD
         for period in range(1, periods):
             window = fine_traces.slice(
                 (period - 1) * SAMPLES_PER_PERIOD, period * SAMPLES_PER_PERIOD
             )
             decision = manager.decide(window)
-            apply_decision(datacenter, decision)
-            for server in datacenter:
-                assert server.committed <= server.spec.max_capacity + 1e-9
-                if server.is_active:
-                    assert server.freq_ghz in server.spec.freq_levels_ghz
+            references = decision.predicted_references
+            assert decision.placement.num_servers <= NUM_SERVERS
+            for server, members in decision.placement.by_server().items():
+                committed = sum(references[vm] for vm in members)
+                assert committed <= XEON_E5410.max_capacity + 1e-9
+                assert decision.frequencies[server].freq_ghz in XEON_E5410.freq_levels_ghz

@@ -65,3 +65,17 @@ class TestMalformedInput:
         path.write_text("time_s,a\n0,1\n1,2\n3,3\n")
         with pytest.raises(ValueError, match="uniformly"):
             load_trace_set_csv(path)
+
+
+class TestCliExport:
+    def test_export_coarse(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.traces.io import load_trace_set_csv
+
+        path = tmp_path / "pop.csv"
+        assert main(["export-traces", str(path), "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "wrote 40 traces" in out
+        traces = load_trace_set_csv(path)
+        assert traces.num_traces == 40
+        assert traces.period_s == 300.0

@@ -11,7 +11,6 @@ from repro.prediction.predictors import (
     LastValuePredictor,
     MaxOverHistoryPredictor,
     MovingAveragePredictor,
-    OraclePredictor,
 )
 
 histories = st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=30)
@@ -66,22 +65,6 @@ class TestMaxOverHistory:
     def test_takes_window_max(self):
         assert MaxOverHistoryPredictor(2).predict([9.0, 1.0, 3.0]) == 3.0
         assert MaxOverHistoryPredictor(3).predict([9.0, 1.0, 3.0]) == 9.0
-
-
-class TestOracle:
-    def test_requires_priming(self):
-        oracle = OraclePredictor()
-        with pytest.raises(RuntimeError, match="before prime"):
-            oracle.predict([1.0])
-
-    def test_returns_primed_truth(self):
-        oracle = OraclePredictor()
-        oracle.prime(7.5)
-        assert oracle.predict([1.0, 2.0]) == 7.5
-
-    def test_negative_truth_rejected(self):
-        with pytest.raises(ValueError):
-            OraclePredictor().prime(-1.0)
 
 
 class TestRangeProperties:

@@ -1,13 +1,10 @@
-"""Tests for repro.infrastructure.server / vm / datacenter."""
+"""Tests for repro.infrastructure.server."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.infrastructure.datacenter import Datacenter
-from repro.infrastructure.server import OPTERON_6174, Server, ServerSpec, XEON_E5410
-from repro.infrastructure.vm import VirtualMachine
-from repro.traces.trace import UtilizationTrace
+from repro.infrastructure.server import OPTERON_6174, ServerSpec, XEON_E5410
 
 
 class TestServerSpec:
@@ -44,128 +41,3 @@ class TestServerSpec:
     def test_needs_positive_cores(self):
         with pytest.raises(ValueError, match="core"):
             ServerSpec("bad", 0, (2.3,), XEON_E5410.power_model)
-
-
-class TestServerState:
-    @pytest.fixture
-    def server(self) -> Server:
-        return Server(XEON_E5410, "s0")
-
-    def test_initial_state(self, server):
-        assert not server.is_active
-        assert server.remaining == 8.0
-        assert server.freq_ghz == 2.3
-
-    def test_place_and_evict(self, server):
-        server.place("vm1", 3.0)
-        assert server.is_active
-        assert server.vm_ids == ("vm1",)
-        assert server.remaining == pytest.approx(5.0)
-        server.evict("vm1", 3.0)
-        assert not server.is_active
-        assert server.remaining == pytest.approx(8.0)
-
-    def test_duplicate_placement_rejected(self, server):
-        server.place("vm1", 1.0)
-        with pytest.raises(ValueError, match="already placed"):
-            server.place("vm1", 1.0)
-
-    def test_overflow_rejected(self, server):
-        server.place("vm1", 7.0)
-        with pytest.raises(ValueError, match="does not fit"):
-            server.place("vm2", 2.0)
-
-    def test_evict_unknown_rejected(self, server):
-        with pytest.raises(ValueError, match="not placed"):
-            server.evict("ghost", 1.0)
-
-    def test_set_frequency_validates(self, server):
-        server.set_frequency(2.0)
-        assert server.freq_ghz == 2.0
-        with pytest.raises(ValueError, match="not a level"):
-            server.set_frequency(1.0)
-
-    def test_clear_resets_everything(self, server):
-        server.place("vm1", 2.0)
-        server.set_frequency(2.0)
-        server.clear()
-        assert not server.is_active
-        assert server.freq_ghz == 2.3
-        assert server.remaining == 8.0
-
-    def test_empty_id_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            Server(XEON_E5410, "")
-
-
-class TestVirtualMachine:
-    def test_reference_is_trace_peak(self):
-        vm = VirtualMachine("vm1", UtilizationTrace([1.0, 2.5], 1.0, "vm1"))
-        assert vm.reference() == 2.5
-
-    def test_core_cap_validated(self):
-        trace = UtilizationTrace([5.0], 1.0, "vm1")
-        with pytest.raises(ValueError, match="exceeds core cap"):
-            VirtualMachine("vm1", trace, core_cap=4.0)
-
-    def test_demand_at(self):
-        vm = VirtualMachine("vm1", UtilizationTrace([1.0, 2.0], 1.0, "vm1"))
-        assert vm.demand_at(1) == 2.0
-
-    def test_with_trace(self):
-        vm = VirtualMachine("vm1", UtilizationTrace([1.0, 2.0], 1.0, "vm1"), "c1", 4.0)
-        clone = vm.with_trace(UtilizationTrace([0.5], 1.0, "vm1"))
-        assert clone.cluster_id == "c1"
-        assert clone.trace.num_samples == 1
-
-    def test_empty_id_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            VirtualMachine("", UtilizationTrace([1.0], 1.0))
-
-
-class TestDatacenter:
-    def test_fleet_construction(self):
-        dc = Datacenter(XEON_E5410, 3)
-        assert dc.num_servers == 3
-        assert dc.total_capacity == 24.0
-        assert dc.num_active == 0
-        assert dc[0].server_id == "server00"
-
-    def test_needs_servers(self):
-        with pytest.raises(ValueError, match="at least one"):
-            Datacenter(XEON_E5410, 0)
-
-    def test_server_by_id(self):
-        dc = Datacenter(XEON_E5410, 2)
-        assert dc.server_by_id("server01") is dc[1]
-        with pytest.raises(KeyError):
-            dc.server_by_id("nope")
-
-    def test_apply_placement(self):
-        dc = Datacenter(XEON_E5410, 2)
-        dc.apply_placement({"a": 0, "b": 1, "c": 0}, {"a": 2.0, "b": 3.0, "c": 1.0})
-        assert dc.num_active == 2
-        assert set(dc[0].vm_ids) == {"a", "c"}
-
-    def test_apply_placement_replaces_previous(self):
-        dc = Datacenter(XEON_E5410, 2)
-        dc.apply_placement({"a": 0}, {"a": 2.0})
-        dc.apply_placement({"b": 1}, {"b": 1.0})
-        assert dc[0].vm_ids == ()
-        assert dc[1].vm_ids == ("b",)
-
-    def test_apply_placement_bad_index(self):
-        dc = Datacenter(XEON_E5410, 1)
-        with pytest.raises(ValueError, match="out of range"):
-            dc.apply_placement({"a": 3}, {"a": 1.0})
-
-    def test_snapshot_power_counts_active_only(self):
-        dc = Datacenter(XEON_E5410, 2)
-        dc.apply_placement({"a": 0}, {"a": 4.0})
-        power = dc.snapshot_power_w([4.0, 0.0])
-        assert power == pytest.approx(XEON_E5410.power_w(4.0, 2.3))
-
-    def test_snapshot_power_validates_width(self):
-        dc = Datacenter(XEON_E5410, 2)
-        with pytest.raises(ValueError, match="expected 2"):
-            dc.snapshot_power_w([1.0])

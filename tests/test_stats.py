@@ -14,10 +14,7 @@ from repro.analysis.stats import (
     BatchPSquare,
     PSquarePercentile,
     RunningMax,
-    RunningMeanVar,
     RunningPercentile,
-    autocorrelation,
-    empirical_cdf,
     fold_marker_states,
     p2_marker_fractions,
     pearson,
@@ -89,36 +86,6 @@ class TestPearson:
         assert -1.0 - 1e-9 <= rho <= 1.0 + 1e-9
 
 
-class TestAutocorrelation:
-    def test_lag_zero_is_one(self):
-        assert autocorrelation([1.0, 2.0, 3.0, 4.0], 0) == 1.0
-
-    def test_periodic_signal(self):
-        t = np.arange(100)
-        wave = np.sin(2 * np.pi * t / 10)
-        assert autocorrelation(wave, 10) == pytest.approx(1.0, abs=1e-6)
-
-    def test_negative_lag_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            autocorrelation([1.0, 2.0, 3.0], -1)
-
-    def test_excessive_lag_rejected(self):
-        with pytest.raises(ValueError, match="too large"):
-            autocorrelation([1.0, 2.0, 3.0], 5)
-
-
-class TestEmpiricalCdf:
-    def test_values_sorted_and_probs_end_at_one(self):
-        values, probs = empirical_cdf([3.0, 1.0, 2.0])
-        assert list(values) == [1.0, 2.0, 3.0]
-        assert probs[-1] == pytest.approx(1.0)
-        assert np.all(np.diff(probs) > 0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            empirical_cdf([])
-
-
 class TestRunningMax:
     def test_tracks_maximum(self):
         r = RunningMax()
@@ -143,32 +110,6 @@ class TestRunningMax:
         r = RunningMax()
         r.extend(values)
         assert r.value == max(values)
-
-
-class TestRunningMeanVar:
-    def test_matches_numpy(self):
-        data = [1.0, 2.0, 3.0, 4.0, 10.0]
-        r = RunningMeanVar()
-        r.extend(data)
-        assert r.mean == pytest.approx(np.mean(data))
-        assert r.variance == pytest.approx(np.var(data))
-        assert r.std == pytest.approx(np.std(data))
-
-    def test_single_sample_variance_zero(self):
-        r = RunningMeanVar()
-        r.update(7.0)
-        assert r.variance == 0.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="no samples"):
-            _ = RunningMeanVar().mean
-
-    @given(st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=2, max_size=200))
-    def test_welford_matches_numpy(self, values):
-        r = RunningMeanVar()
-        r.extend(values)
-        assert r.mean == pytest.approx(float(np.mean(values)), abs=1e-6)
-        assert r.variance == pytest.approx(float(np.var(values)), rel=1e-6, abs=1e-6)
 
 
 class TestPSquare:

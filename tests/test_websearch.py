@@ -43,7 +43,6 @@ class TestConfigValidation:
     def test_names(self):
         config = WebSearchClusterConfig("C1", n_isns=2)
         assert config.isn_names() == ("C1-isn1", "C1-isn2")
-        assert config.frontend_name == "C1-frontend"
 
 
 class TestShares:
@@ -87,16 +86,6 @@ class TestDemandTraces:
         traces = cluster.isn_demand_traces(600.0, 1.0, rng)
         total = traces.aggregate()
         assert total.peak() == pytest.approx(7.0, rel=0.15)
-
-    def test_vms_carry_cluster_tag(self, cluster, rng):
-        vms = cluster.isn_vms(60.0, 1.0, rng)
-        assert [vm.vm_id for vm in vms] == ["C1-isn1", "C1-isn2"]
-        assert all(vm.cluster_id == "C1" for vm in vms)
-
-    def test_frontend_vm_light(self, cluster):
-        frontend = cluster.frontend_vm(60.0, 1.0)
-        assert frontend.trace.peak() == pytest.approx(0.3)
-        assert frontend.vm_id == "C1-frontend"
 
     def test_duration_validated(self, cluster, rng):
         with pytest.raises(ValueError, match="at least one sample"):
