@@ -846,7 +846,7 @@ class ExactAllocator:
         """Hand a membership delta to the horizon."""
         self._horizon.apply_membership(added=added, removed=removed)
 
-    def reset_cache(self) -> None:
+    def reset(self) -> None:
         """Drop the horizon and the latest matrix."""
         self._horizon.reset()
         self._last_matrix = None

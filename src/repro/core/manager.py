@@ -320,4 +320,4 @@ class PowerManager:
         """
         self._refs.reset()
         self._members.clear()
-        self._allocator.reset_cache()
+        self._allocator.reset()

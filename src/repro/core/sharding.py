@@ -482,7 +482,7 @@ class ShardedAllocator:
 
     Shares :class:`~repro.core.allocation.ExactAllocator`'s window-level
     protocol (``allocate(window, ...)`` / ``cost_view`` / ``evacuate`` /
-    ``apply_membership`` / ``reset_cache`` / ``snapshot`` / ``restore``),
+    ``apply_membership`` / ``reset`` / ``snapshot`` / ``restore``),
     so :class:`~repro.core.manager.PowerManager` and the audit and
     checkpoint layers drive either interchangeably.  Differences:
 
@@ -524,7 +524,7 @@ class ShardedAllocator:
             raise RuntimeError("cost_view() requires a prior allocate()")
         return ShardedCostView(self._plan, self._spec)
 
-    def reset_cache(self) -> None:
+    def reset(self) -> None:
         """Drop the current plan."""
         self._plan = None
 

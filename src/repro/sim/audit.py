@@ -240,8 +240,8 @@ def _rebuild_component(approach, check: str) -> bool:
             horizon.reset()
             rebuilt = True
         allocator = getattr(obj, "_allocator", None)
-        if allocator is not None and hasattr(allocator, "reset_cache"):
-            allocator.reset_cache()
+        if allocator is not None and hasattr(allocator, "reset"):
+            allocator.reset()
             rebuilt = True
         if getattr(obj, "_last_matrix", None) is not None:
             obj._last_matrix = None

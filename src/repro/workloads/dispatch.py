@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.analysis.stats import percentile
 from repro.traces.trace import TraceSet, UtilizationTrace
-from repro.workloads.queueing import Region
+from repro.workloads.queueing import Region, _RegionState
 from repro.workloads.requests import (
     ClosedLoopClients,
     LognormalService,
@@ -127,30 +127,6 @@ class DispatchResult:
         return float(self.response_s.mean())
 
 
-class _DispatchRegionState:
-    """Attained-work processor sharing for one region (cf. queueing)."""
-
-    __slots__ = ("region", "attained", "heap", "active")
-
-    def __init__(self, region: Region) -> None:
-        self.region = region
-        self.attained = 0.0
-        self.heap: list[tuple[float, int]] = []  # (target_attained, req_id)
-        self.active = 0
-
-    @property
-    def rate(self) -> float:
-        return self.region.rate_with(self.active)
-
-    def next_completion_dt(self) -> float:
-        if not self.heap:
-            return math.inf
-        rate = self.rate
-        if rate <= 0:
-            return math.inf
-        return max(0.0, (self.heap[0][0] - self.attained) / rate)
-
-
 class RequestDispatchSimulator:
     """Single-task request simulation over dispatched PS regions."""
 
@@ -183,7 +159,7 @@ class RequestDispatchSimulator:
         """Execute the simulation and collect responses + utilization."""
         config = self._config
         rng = np.random.default_rng(config.seed)
-        states = [_DispatchRegionState(region) for region in self._regions]
+        states = [_RegionState(region) for region in self._regions]
         n_regions = len(states)
         horizon = config.duration_s
         closed = isinstance(self._workload, ClosedLoopClients)

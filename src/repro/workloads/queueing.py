@@ -200,14 +200,13 @@ class QueueingResult:
 class _RegionState:
     """Runtime state of one region (attained-work processor sharing)."""
 
-    __slots__ = ("region", "attained", "heap", "active", "last_event_t")
+    __slots__ = ("region", "attained", "heap", "active")
 
     def __init__(self, region: Region) -> None:
         self.region = region
         self.attained = 0.0          # cumulative per-task attained work
         self.heap: list[tuple[float, int]] = []  # (target_attained, task_id)
         self.active = 0
-        self.last_event_t = 0.0
 
     @property
     def rate(self) -> float:
