@@ -98,7 +98,7 @@ from repro.workloads import (
     WebSearchClusterConfig,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "__version__",

@@ -36,6 +36,16 @@ def test_checker_passes_on_the_repo():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
+def test_package_version_matches_pyproject():
+    """``repro.__version__`` and the packaging metadata name one release."""
+    import tomllib
+
+    import repro
+
+    pyproject = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())
+    assert repro.__version__ == pyproject["project"]["version"]
+
+
 def test_cli_help_smoke():
     """The quickstart's entry point keeps answering --help."""
     result = subprocess.run(
