@@ -633,8 +633,8 @@ class ShardedAllocator:
         num_servers: int | None = None,
     ) -> Placement:
         """Re-place the failed servers' VMs against the latest plan (see
-        :meth:`CorrelationAwareAllocator.evacuate`, which prices pairs
-        through :meth:`ShardedCostView.pair_costs`)."""
+        :meth:`~repro.core.allocation.CorrelationAwareAllocator.evacuate`,
+        which prices pairs through :meth:`ShardedCostView.pair_costs`)."""
         return self._allocator.evacuate(
             placement, failed_servers, references, n_cores, num_servers, costs=self.cost_view()
         )

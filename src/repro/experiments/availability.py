@@ -101,7 +101,8 @@ def run(
     knobs (``checkpoint_every``/``checkpoint_dir``) pass straight
     through to :func:`repro.sim.runner.run_scenarios`; ``allocator``
     selects the proposed approach's backend (sharded evacuations cross
-    shard boundaries, exercising the per-shard cache invalidation).
+    shard boundaries, pricing cross-shard pairs through the plan's cost
+    view).
     """
     base = Setup2Config(allocator=allocator)
     if fast:
